@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .arith import factorize, is_isocratic, isocracy_locus, nu_p, primes_up_to
 from .cohomology import (
     FpModule,
+    _licensed_topology,
     build_isocratic_witness,
     build_leaf_witness,
     cohomology_abstract,
@@ -301,8 +302,6 @@ def self_audit(verdict: Verdict) -> bool:
             if abstract.h2 < c.claims.get("h2_abstract_ge", 0):
                 return False
             if "h2_profinite" in c.claims or "h2_profinite_ge" in c.claims:
-                from .cohomology import _licensed_topology
-
                 prof = cohomology_profinite(
                     c.graph, tree, c.module, _licensed_topology(c.graph, tree)
                 )

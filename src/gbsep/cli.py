@@ -27,6 +27,7 @@ from .graphs import (
     GraphError,
     augmentation_products,
     bs_graph,
+    canonical_presentation,
     epsilon_table,
     parse_graph,
     spanning_tree,
@@ -138,8 +139,6 @@ def _cmd_oracle(args) -> int:
     doc = {}
     spectra = []
     if args.degree is not None:
-        from .graphs import canonical_presentation
-
         pres = canonical_presentation(g, spanning_tree(g))
         spectrum = enumerate_perm_quotients(pres, args.degree)
         doc["permutation"] = spectrum.to_json()
@@ -189,14 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gbsep",
         description="Separability and profinite cohomology of GBS groups.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for property replays")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
         sp.add_argument("input", nargs="?", help="graph description file")
         sp.add_argument("--bs", nargs=2, type=int, metavar=("N", "M"), help="loop shorthand BS(n, m)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--seed", type=int, default=0, help="seed for property replays")
 
     sp = sub.add_parser("classify", help="run the separability trichotomy")
     common(sp)

@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 from .arith import PrimeSet, is_isocratic, is_prime, isocracy_locus, nu_p
 from .graphs import (
+    Edge,
     GbsGraph,
     Presentation,
     augmentation_products,
@@ -30,6 +31,7 @@ from .graphs import (
     spanning_tree,
     stable_letter,
     the_cycle,
+    tree_walk,
     vertex_gen,
 )
 
@@ -391,51 +393,57 @@ def build_isocratic_witness(g: GbsGraph, p: int, q: int) -> FpModule:
     of the minimising set so that every relator is satisfied; abstract
     H^2 of the result is nonzero by a dimension count, while the
     pro-isocracy computation sees nothing whenever p leaves the locus.
+
+    The construction runs on a copy whose edges all point the way the
+    cycle is walked.  Vertex actions satisfy a relator in either
+    orientation and stable letters act trivially, so the module is
+    validated against the original graph.
     """
     if not (is_prime(p) and is_prime(q)):
         raise ValueError("p and q must be prime")
     if not g.is_cycle_graph() or any(e.is_loop for e in g.edges):
         raise ValueError("witness construction needs a loop-free cycle graph; subdivide first")
-    n, m = augmentation_products(g, the_cycle(g))
+    cycle = the_cycle(g)
+    n, m = augmentation_products(g, cycle)
     if not is_isocratic(n, m):
         raise ValueError("augmentation products are not isocratic")
     if (n * m) % p != 0:
         raise ValueError(f"{p} does not divide the product of augmentation products")
     if n % q or m % q:
         raise ValueError(f"{q} does not divide gcd of augmentation products")
+    backward = {eid for eid, fwd in cycle if not fwd}
+    h = GbsGraph(
+        g.vertices,
+        tuple(
+            Edge(e.id, e.dst, e.src, e.lambda1, e.lambda0) if e.id in backward else e
+            for e in g.edges
+        ),
+    )
     tree = spanning_tree(g)
-    eps = epsilon_table(g, tree, q, g.vertices[0])
+    eps = epsilon_table(h, tree, q, h.vertices[0])
     lo = min(eps.values.values())
     minimisers = {v for v, x in eps.values.items() if x == lo}
-    assert any(
-        e.src in minimisers and e.i0 % q == 0 for e in g.edges
-    ), "minimising set admits no q-divisible outgoing edge"
-    # transport unit exponents along q-free edges inside the minimising set
-    exponent = {v: 0 for v in g.vertices}
-    free_adj = [
-        e
-        for e in g.edges
+    if not any(e.src in minimisers and e.i0 % q == 0 for e in h.edges):
+        raise ValueError("internal error: minimising set admits no q-divisible outgoing edge")
+    # transport unit exponents along q-free edges inside the minimising set;
+    # they form a forest, as some edge of the cycle is q-divisible
+    exponent = {v: 0 for v in h.vertices}
+    free = {
+        e.id
+        for e in h.edges
         if e.src in minimisers and e.dst in minimisers and e.i0 % q and e.i1 % q
-    ]
+    }
     todo = set(minimisers)
     while todo:
         start = min(todo)
         exponent[start] = 1
         todo.discard(start)
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for e in free_adj:
-                if e.src == u and e.dst in todo:
-                    inv = pow(e.lambda1 % q, -1, q)
-                    exponent[e.dst] = inv * e.lambda0 * exponent[u] % q
-                    todo.discard(e.dst)
-                    frontier.append(e.dst)
-                elif e.dst == u and e.src in todo:
-                    inv = pow(e.lambda0 % q, -1, q)
-                    exponent[e.src] = inv * e.lambda1 * exponent[u] % q
-                    todo.discard(e.src)
-                    frontier.append(e.src)
+        for y, e, fwd in tree_walk(h, free, start):
+            if fwd:
+                exponent[y] = pow(e.lambda1 % q, -1, q) * e.lambda0 * exponent[e.src] % q
+            else:
+                exponent[y] = pow(e.lambda0 % q, -1, q) * e.lambda1 * exponent[e.dst] % q
+            todo.discard(y)
     alpha = _cyclic_permutation(q, p)
     actions = {}
     for v in g.vertices:

@@ -54,58 +54,72 @@ class Edge:
 class GbsGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+    # indexes built once: edge id -> Edge, and vertex -> its incident edges
+    # in stored edge order (a loop appears once)
+    _by_id: dict = field(init=False, repr=False, compare=False)
+    _incident: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
             raise GraphError("graph must be nonempty")
-        if len(set(self.vertices)) != len(self.vertices):
+        incident: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        if len(incident) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
+        by_id = {e.id: e for e in self.edges}
+        if len(by_id) != len(self.edges):
             raise GraphError("duplicate edge ids")
-        vset = set(self.vertices)
         for e in self.edges:
-            if e.src not in vset or e.dst not in vset:
+            if e.src not in incident or e.dst not in incident:
                 raise GraphError(f"edge {e.id}: unknown vertex reference")
-        if not _connected(self.vertices, self.edges):
+            incident[e.src].append(e)
+            if not e.is_loop:
+                incident[e.dst].append(e)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_incident", {v: tuple(es) for v, es in incident.items()})
+        if sum(1 for _ in tree_walk(self, None, self.vertices[0])) != len(self.vertices) - 1:
             raise GraphError("graph must be connected")
 
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
+        return self._by_id[eid]
 
     @property
     def betti(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
 
-    def incident(self, v: str) -> list[Edge]:
-        return [e for e in self.edges if v in (e.src, e.dst)]
+    def incident(self, v: str) -> tuple[Edge, ...]:
+        return self._incident[v]
 
     def degree(self, v: str) -> int:
         """Loop edges count twice."""
-        return sum((e.src == v) + (e.dst == v) for e in self.edges)
+        return sum(1 + e.is_loop for e in self._incident[v])
 
     def is_cycle_graph(self) -> bool:
         """True iff the graph is a single cycle (a lone loop counts)."""
         return self.betti == 1 and all(self.degree(v) == 2 for v in self.vertices)
 
 
-def _connected(vertices, edges) -> bool:
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    seen = {vertices[0]}
-    queue = deque([vertices[0]])
+def tree_walk(g: GbsGraph, tree, root: str):
+    """Breadth-first walk from ``root`` over the edges whose ids are in
+    ``tree`` (every edge when ``tree`` is None), scanning each vertex's
+    edges in stored order.  Yields (vertex, edge, forward) once for every
+    vertex reached besides the root: ``edge`` is the edge it was reached
+    by, crossed from src to dst iff ``forward``."""
+    seen = {root}
+    queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vertices)
+        for e in g._incident[v]:
+            if tree is not None and e.id not in tree:
+                continue
+            if e.src == v and e.dst not in seen:
+                w, forward = e.dst, True
+            elif e.dst == v and e.src not in seen:
+                w, forward = e.src, False
+            else:
+                continue
+            seen.add(w)
+            queue.append(w)
+            yield w, e, forward
 
 
 def bs_graph(n: int, m: int) -> GbsGraph:
@@ -163,33 +177,36 @@ def parse_graph(text: str) -> GbsGraph:
 
 
 def bridges(g: GbsGraph) -> set[str]:
-    """Edge ids of all cut edges (= edges lying in every spanning tree)."""
+    """Edge ids of all cut edges (= edges lying in every spanning tree).
+
+    One iterative lowlink search (Tarjan, IPL 2(6), 1974): the tree edge
+    into w is a bridge iff no edge from w's subtree reaches above w.  The
+    parent edge is skipped by id, so parallel edges are never bridges.
+    """
+    root = g.vertices[0]
+    disc = {root: 0}
+    low = {root: 0}
     out = set()
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        rest = [f for f in g.edges if f.id != e.id]
-        if not _reachable(g.vertices, rest, e.src, e.dst):
-            out.add(e.id)
+    stack = [(root, None, iter(g._incident[root]))]
+    while stack:
+        v, via, edges = stack[-1]
+        for e in edges:
+            if e.id == via:
+                continue
+            w = e.dst if e.src == v else e.src
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, e.id, iter(g._incident[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] > disc[u]:
+                    out.add(via)
     return out
-
-
-def _reachable(vertices, edges, a, b) -> bool:
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            return True
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return b in seen
 
 
 def reduce_graph(g: GbsGraph) -> GbsGraph:
@@ -200,38 +217,48 @@ def reduce_graph(g: GbsGraph) -> GbsGraph:
     mu * lambda1(e) * sign(lambda0(e)).  The fundamental group is
     unchanged.  Only bridges are collapsed; collapsing a non-bridge
     index-1 edge would alter the cycle structure.
+
+    Contracting a bridge leaves every other edge's bridge status alone
+    and only multiplies labels, so an edge that cannot be collapsed never
+    becomes collapsible: one pass in stored order collapses the same
+    edges, in the same order, as restarting from the first edge after
+    every collapse.
     """
-    while True:
-        cut = bridges(g)
-        target = None
-        for e in g.edges:
-            if e.id in cut and (e.i0 == 1 or e.i1 == 1):
-                target = e
-                break
-        if target is None:
-            return g
-        g = _collapse(g, target)
+    cut = bridges(g)
+    # a merged vertex points at the vertex it merged into, with the factor
+    # its edge endpoints picked up (path-compressed, relative to the root)
+    parent = {v: v for v in g.vertices}
+    factor = {v: 1 for v in g.vertices}
 
+    def find(v: str) -> str:
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        for u in reversed(path):
+            if parent[u] != v:
+                factor[u] *= factor[parent[u]]
+                parent[u] = v
+        return v
 
-def _collapse(g: GbsGraph, e: Edge) -> GbsGraph:
-    if e.i0 == 1:
-        gone, keep = e.src, e.dst
-        scale = e.lambda1 * (1 if e.lambda0 > 0 else -1)
-    else:
-        gone, keep = e.dst, e.src
-        scale = e.lambda0 * (1 if e.lambda1 > 0 else -1)
-    new_edges = []
-    for f in g.edges:
-        if f.id == e.id:
-            continue
-        src, dst, l0, l1 = f.src, f.dst, f.lambda0, f.lambda1
-        if src == gone:
-            src, l0 = keep, l0 * scale
-        if dst == gone:
-            dst, l1 = keep, l1 * scale
-        new_edges.append(Edge(f.id, src, dst, l0, l1))
-    new_vertices = tuple(v for v in g.vertices if v != gone)
-    return GbsGraph(new_vertices, tuple(new_edges))
+    def current(e: Edge) -> Edge:
+        src, dst = find(e.src), find(e.dst)
+        return Edge(e.id, src, dst, e.lambda0 * factor[e.src], e.lambda1 * factor[e.dst])
+
+    kept = []
+    for e in g.edges:
+        c = current(e)
+        if e.id not in cut or (c.i0 != 1 and c.i1 != 1):
+            kept.append(e)
+        elif c.i0 == 1:
+            parent[c.src], factor[c.src] = c.dst, c.lambda1 * (1 if c.lambda0 > 0 else -1)
+        else:
+            parent[c.dst], factor[c.dst] = c.src, c.lambda0 * (1 if c.lambda1 > 0 else -1)
+    if len(kept) == len(g.edges):
+        return g
+    return GbsGraph(
+        tuple(v for v in g.vertices if parent[v] == v), tuple(current(e) for e in kept)
+    )
 
 
 def subdivide_loops(g: GbsGraph) -> GbsGraph:
@@ -260,55 +287,26 @@ def subdivide_loops(g: GbsGraph) -> GbsGraph:
 
 def spanning_tree(g: GbsGraph) -> set[str]:
     """Deterministic BFS spanning tree (edge id set), rooted at the first vertex."""
-    root = g.vertices[0]
-    seen = {root}
-    tree: set[str] = set()
-    frontier = deque([root])
-    while frontier:
-        v = frontier.popleft()
-        for e in g.edges:
-            if e.is_loop:
-                continue
-            other = None
-            if e.src == v and e.dst not in seen:
-                other = e.dst
-            elif e.dst == v and e.src not in seen:
-                other = e.src
-            if other is not None:
-                seen.add(other)
-                tree.add(e.id)
-                frontier.append(other)
-    return tree
+    return {e.id for _, e, _ in tree_walk(g, None, g.vertices[0])}
 
 
 def _check_tree(g: GbsGraph, tree: set[str]) -> None:
-    if len(tree) != len(g.vertices) - 1:
-        raise GraphError("not a spanning tree")
-    tedges = [g.edge(t) for t in tree]
-    if not _connected(g.vertices, tedges):
+    unknown = sorted(t for t in tree if t not in g._by_id)
+    if unknown:
+        raise GraphError(f"unknown tree edge ids: {', '.join(unknown)}")
+    reached = sum(1 for _ in tree_walk(g, tree, g.vertices[0]))
+    if len(tree) != len(g.vertices) - 1 or reached != len(tree):
         raise GraphError("not a spanning tree")
 
 
 def tree_path(g: GbsGraph, tree: set[str], a: str, b: str) -> list[tuple[Edge, bool]]:
     """The tree geodesic from a to b as (edge, traversed-forward) steps."""
     parent: dict[str, tuple[Edge, bool]] = {}
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for e in g.edges:
-            if e.id not in tree:
-                continue
-            if e.src == v and e.dst not in seen:
-                seen.add(e.dst)
-                parent[e.dst] = (e, True)
-                queue.append(e.dst)
-            elif e.dst == v and e.src not in seen:
-                seen.add(e.src)
-                parent[e.src] = (e, False)
-                queue.append(e.src)
+    if a != b:
+        for v, e, fwd in tree_walk(g, tree, a):
+            parent[v] = (e, fwd)
+            if v == b:
+                break
     path = []
     v = b
     while v != a:
@@ -328,15 +326,12 @@ def cycle_basis(g: GbsGraph, tree: set[str]) -> list[OrientedCycle]:
     """One fundamental cycle per non-tree edge: the edge, then the tree
     geodesic from its head back to its tail.  Count = |E| - |V| + 1."""
     _check_tree(g, tree)
-    cycles = []
-    for e in g.edges:
-        if e.id in tree:
-            continue
-        steps: list[tuple[str, bool]] = [(e.id, True)]
-        for f, fwd in tree_path(g, tree, e.dst, e.src):
-            steps.append((f.id, fwd))
-        cycles.append(tuple(steps))
-    return cycles
+    return [_fundamental_cycle(g, tree, e) for e in g.edges if e.id not in tree]
+
+
+def _fundamental_cycle(g: GbsGraph, tree: set[str], e: Edge) -> OrientedCycle:
+    path = tree_path(g, tree, e.dst, e.src)
+    return ((e.id, True),) + tuple((f.id, fwd) for f, fwd in path)
 
 
 def augmentation_products(g: GbsGraph, cycle: OrientedCycle) -> tuple[int, int]:
@@ -383,20 +378,10 @@ def epsilon_table(g: GbsGraph, tree: set[str], p: int, w: str) -> EpsilonTable:
         raise GraphError(f"unknown base vertex {w!r}")
     _check_tree(g, tree)
     values = {w: 0}
-    queue = deque([w])
-    while queue:
-        v = queue.popleft()
-        for e in g.edges:
-            if e.id not in tree:
-                continue
-            if e.src == v and e.dst not in values:
-                # stored orientation already points away from the base
-                values[e.dst] = values[v] + nu_p(e.i0, p) - nu_p(e.i1, p)
-                queue.append(e.dst)
-            elif e.dst == v and e.src not in values:
-                # reoriented away from the base: indices swap
-                values[e.src] = values[v] + nu_p(e.i1, p) - nu_p(e.i0, p)
-                queue.append(e.src)
+    for v, e, fwd in tree_walk(g, tree, w):
+        # edges reoriented away from the base: a backward step swaps indices
+        near, far = (e.i0, e.i1) if fwd else (e.i1, e.i0)
+        values[v] = values[e.src if fwd else e.dst] + nu_p(near, p) - nu_p(far, p)
     return EpsilonTable(p, w, frozenset(tree), values)
 
 
@@ -462,26 +447,13 @@ def balance_potential(g: GbsGraph, tree: set[str], w: str):
     """
     _check_tree(g, tree)
     pot: dict[str, Fraction] = {w: Fraction(1)}
-    queue = deque([w])
-    while queue:
-        v = queue.popleft()
-        for e in g.edges:
-            if e.id not in tree:
-                continue
-            if e.src == v and e.dst not in pot:
-                pot[e.dst] = pot[v] * Fraction(e.i1, e.i0)
-                queue.append(e.dst)
-            elif e.dst == v and e.src not in pot:
-                pot[e.src] = pot[v] * Fraction(e.i0, e.i1)
-                queue.append(e.src)
-    witness = None
-    for cyc in cycle_basis(g, tree):
-        eid, _ = cyc[0]
-        e = g.edge(eid)
-        if pot[e.src] * Fraction(e.i1, e.i0) != pot[e.dst]:
-            witness = cyc
-            break
-    return pot, witness is None, witness
+    for v, e, fwd in tree_walk(g, tree, w):
+        near, far = (e.i0, e.i1) if fwd else (e.i1, e.i0)
+        pot[v] = pot[e.src if fwd else e.dst] * Fraction(far, near)
+    for e in g.edges:
+        if e.id not in tree and pot[e.src] * Fraction(e.i1, e.i0) != pot[e.dst]:
+            return pot, False, _fundamental_cycle(g, tree, e)
+    return pot, True, None
 
 
 def the_cycle(g: GbsGraph) -> OrientedCycle:

@@ -10,17 +10,19 @@ trusting the construction that produced it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .arith import is_isocratic, is_prime, isocracy_locus, nu_p, p_free_part
 from .graphs import (
     GbsGraph,
+    augmentation_products,
+    balance_potential,
     canonical_presentation,
     epsilon_table,
     spanning_tree,
     stable_letter,
     the_cycle,
+    tree_walk,
     vertex_gen,
 )
 
@@ -30,10 +32,6 @@ class QuotientError(ValueError):
 
 
 Element = tuple[int, int]  # (residue, unit) mod the ambient modulus
-
-
-def hol_identity() -> Element:
-    return (0, 1)
 
 
 def hol_mul(x: Element, y: Element, modulus: int) -> Element:
@@ -54,7 +52,7 @@ def hol_pow(x: Element, k: int, modulus: int) -> Element:
     if k < 0:
         x = hol_inv(x, modulus)
         k = -k
-    out = hol_identity()
+    out = (0, 1)
     base = x
     while k:
         if k & 1:
@@ -147,27 +145,14 @@ def _vertex_images(g: GbsGraph, tree: set[str], p: int, modulus: int, eps):
     w = eps.base
     c = {w: 1 % modulus}
     images = {vertex_gen(w): (p ** eps.values[w] * c[w] % modulus, 1 % modulus)}
-    queue = deque([w])
-    settled = {w}
-    while queue:
-        z = queue.popleft()
-        for e in g.edges:
-            if e.id not in tree:
-                continue
-            if e.src == z and e.dst not in settled:
-                y, ly, lz = e.dst, e.lambda1, e.lambda0
-            elif e.dst == z and e.src not in settled:
-                y, ly, lz = e.src, e.lambda0, e.lambda1
-            else:
-                continue
-            # signed p-free parts: the relator equates the signed labels
-            ay = p_free_part(ly, p) * (1 if ly > 0 else -1)
-            az = p_free_part(lz, p) * (1 if lz > 0 else -1)
-            inv = pow(ay, -1, modulus) if modulus > 1 else 0
-            c[y] = inv * az * c[z] % modulus
-            images[vertex_gen(y)] = (p ** eps.values[y] * c[y] % modulus, 1 % modulus)
-            settled.add(y)
-            queue.append(y)
+    for y, e, fwd in tree_walk(g, tree, w):
+        z, ly, lz = (e.src, e.lambda1, e.lambda0) if fwd else (e.dst, e.lambda0, e.lambda1)
+        # signed p-free parts: the relator equates the signed labels
+        ay = p_free_part(ly, p) * (1 if ly > 0 else -1)
+        az = p_free_part(lz, p) * (1 if lz > 0 else -1)
+        inv = pow(ay, -1, modulus) if modulus > 1 else 0
+        c[y] = inv * az * c[z] % modulus
+        images[vertex_gen(y)] = (p ** eps.values[y] * c[y] % modulus, 1 % modulus)
     return images
 
 
@@ -211,7 +196,7 @@ def construct_cycle_quotient(
         raise QuotientError("graph must contain exactly one cycle")
     if (target_vertex is None) == (target_edge is None):
         raise QuotientError("specify exactly one of target_vertex, target_edge")
-    n, m = __cycle_products(g)
+    n, m = augmentation_products(g, the_cycle(g))
     if not is_isocratic(n, m):
         raise QuotientError("cycle is not isocratic")
     if p not in isocracy_locus(n, m):
@@ -252,12 +237,6 @@ def construct_cycle_quotient(
     return cert
 
 
-def __cycle_products(g: GbsGraph):
-    from .graphs import augmentation_products
-
-    return augmentation_products(g, the_cycle(g))
-
-
 def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> QuotientCert:
     """Quotient of a balanced GBS group with image of the fibre at ``v``
     cyclic of order exactly p^k and every vertex image inside the
@@ -271,8 +250,6 @@ def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> Quotient
         raise QuotientError(f"unknown vertex {v!r}")
     if any(e.is_loop for e in g.edges):
         raise QuotientError("subdivide loops first")
-    from .graphs import balance_potential
-
     tree = spanning_tree(g)
     _, balanced, witness = balance_potential(g, tree, g.vertices[0])
     if not balanced:
@@ -316,7 +293,7 @@ def construct_nonisocratic_p_quotient(g: GbsGraph, p: int) -> QuotientCert:
         raise QuotientError(f"{p} is not prime")
     if not g.is_cycle_graph() or any(e.is_loop for e in g.edges):
         raise QuotientError("construction needs a loop-free pure cycle; subdivide first")
-    n, m = __cycle_products(g)
+    n, m = augmentation_products(g, the_cycle(g))
     if nu_p(n, p) == 0 or nu_p(m, p) == 0 or nu_p(n, p) == nu_p(m, p):
         raise QuotientError(f"products ({n}, {m}) are isocratic at {p}")
     cyc = the_cycle(g)

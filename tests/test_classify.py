@@ -155,3 +155,10 @@ def test_exactly_one_case_small_grid():
                 assert v.case == "IsocraticNotCoprime"
             else:
                 assert v.case == "NonIsocratic"
+
+
+def test_isocratic_cycle_with_reversed_edge():
+    g = GbsGraph(("v0", "v1"), (Edge("e1", "v1", "v0", 1, 10), Edge("e2", "v1", "v0", 1, 6)))
+    v = classify_gbs(g)
+    assert (v.case, v.separable, v.cd_profinite) == ("IsocraticNotCoprime", False, 2)
+    assert self_audit(v)

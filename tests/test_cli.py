@@ -99,6 +99,14 @@ def test_epsilon_command(tmp_path, capsys):
     assert doc["values"] == {"v1": 0, "v2": -1}
 
 
+def test_epsilon_unknown_tree_id_is_input_error(tmp_path, capsys):
+    f = tmp_path / "cycle.gbs"
+    f.write_text("vertex v1\nvertex v2\nedge e1 v1 v2 3 3\nedge e2 v2 v1 2 3\n")
+    code, _, err = run(capsys, "epsilon", str(f), "-p", "2", "--tree", "bogus")
+    assert code == 1
+    assert err == "error: unknown tree edge ids: bogus\n"
+
+
 def test_cohomology_refusal_exit_2(tmp_path, capsys):
     graph = tmp_path / "theta.gbs"
     graph.write_text(THETA_SKEW)
@@ -123,6 +131,6 @@ def test_cohomology_both_sides(tmp_path, capsys):
 
 
 def test_json_deterministic(capsys):
-    _, out1, _ = run(capsys, "classify", "--bs", "6", "10", "--json", "--seed", "7")
-    _, out2, _ = run(capsys, "classify", "--bs", "6", "10", "--json", "--seed", "7")
+    _, out1, _ = run(capsys, "classify", "--bs", "6", "10", "--json")
+    _, out2, _ = run(capsys, "classify", "--bs", "6", "10", "--json")
     assert out1 == out2

@@ -149,6 +149,17 @@ def test_isocratic_witness_transport_consistency():
     assert cohomology_abstract(g, tree, m).h2 >= 1
 
 
+
+def test_isocratic_witness_reversed_edge():
+    # BS(6, 10) as a 2-cycle with one edge reversed: the edges do not all
+    # point the way the cycle is walked
+    g = GbsGraph(("v0", "v1"), (Edge("e1", "v1", "v0", 1, 10), Edge("e2", "v1", "v0", 1, 6)))
+    tree = spanning_tree(g)
+    m = build_isocratic_witness(g, 3, 2)
+    validate_module(m, canonical_presentation(g, tree))
+    assert cohomology_abstract(g, tree, m).h2 >= 1
+    assert cohomology_profinite(g, tree, m, isocracy_locus(6, 10)).h2 == 0
+
 def test_leaf_witness():
     # cycle (2,3)+(3,2) with a leaf edge (5,2)
     g = GbsGraph(
