@@ -33,18 +33,27 @@ def p_free_part(x: int, p: int) -> int:
     return abs(x) // p ** nu_p(x, p)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
+    """Miller-Rabin to the prime bases 2 ... 41.
+
+    Exact for n below psi_13 = 3,317,044,064,679,887,385,961,981, the
+    least strong pseudoprime to all thirteen bases (Sorenson and Webster
+    2015, arXiv:1509.00864).  Above that bound a True means only
+    "probable prime".
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -88,7 +97,7 @@ def factorize(x: int) -> dict[int, int]:
     """Prime factorization of |x| as {prime: multiplicity}.
 
     Trial division up to 10**4, Pollard rho beyond that.  Raises on
-    x == 0.
+    x == 0.  A factor above is_prime's proven bound is a probable prime.
     """
     if x == 0:
         raise ValueError("cannot factor zero")

@@ -317,7 +317,8 @@ def cohomology_abstract(g: GbsGraph, tree: set[str], m: FpModule) -> CohomologyR
         tuple(e0dims),
         tuple(e1dims),
     )
-    assert report.euler_consistent()
+    if not report.euler_consistent():
+        raise RuntimeError("internal error: cohomology report fails the Euler characteristic check")
     return report
 
 

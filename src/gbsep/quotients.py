@@ -10,9 +10,11 @@ trusting the construction that produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith import is_isocratic, is_prime, isocracy_locus, nu_p, p_free_part
+from .arith import factorize, is_isocratic, is_prime, isocracy_locus, nu_p, p_free_part
 from .graphs import (
     GbsGraph,
     augmentation_products,
@@ -62,19 +64,52 @@ def hol_pow(x: Element, k: int, modulus: int) -> Element:
     return (out[0] % modulus, out[1] % modulus)
 
 
+@lru_cache(maxsize=256)
+def _phi_factors(modulus: int) -> tuple[tuple[int, int], ...]:
+    """Factorisation of Euler's phi(modulus) as sorted (prime, exponent)
+    pairs, assembled from the prime factors q of the modulus and those
+    of each q - 1."""
+    out: dict[int, int] = {}
+    for q, e in factorize(modulus).items():
+        if e > 1:
+            out[q] = out.get(q, 0) + e - 1
+        for r, f in factorize(q - 1).items():
+            out[r] = out.get(r, 0) + f
+    return tuple(sorted(out.items()))
+
+
+def _unit_order(u: int, modulus: int) -> int:
+    """Multiplicative order of the unit u mod modulus: phi(modulus) with
+    every prime stripped that keeps u's power at one."""
+    factors = _phi_factors(modulus)
+    r = math.prod(q**e for q, e in factors)
+    for q, _ in factors:
+        while r % q == 0 and pow(u, r // q, modulus) == 1:
+            r //= q
+    return r
+
+
 def hol_order(x: Element, modulus: int) -> int:
+    """Order of x = (c, u) in C_N x| Aut(C_N), N = modulus, in O(log N)
+    products.
+
+    With r the multiplicative order of u, x^r = (s, 1) is a translation
+    of order N / gcd(s, N), so x has order r * N / gcd(s, N).  When
+    u = 1, x is itself a translation and needs no product; otherwise r
+    comes from phi(N), factored once per modulus.  Raises QuotientError
+    when u is not a unit mod N.
+    """
+    if modulus < 1:
+        raise QuotientError(f"modulus {modulus} is not positive")
     if modulus == 1:
         return 1
-    ident = (0, 1 % modulus)
-    acc = (x[0] % modulus, x[1] % modulus)
-    order = 1
-    cap = modulus * modulus
-    while acc != ident:
-        acc = hol_mul(acc, x, modulus)
-        order += 1
-        if order > cap:
-            raise QuotientError("element order exceeds group order bound")
-    return order
+    u = x[1] % modulus
+    if math.gcd(u, modulus) != 1:
+        raise QuotientError(f"unit part {x[1]} is not invertible mod {modulus}")
+    if u == 1:
+        return modulus // math.gcd(x[0], modulus)
+    r = _unit_order(u, modulus)
+    return r * modulus // math.gcd(hol_pow(x, r, modulus)[0], modulus)
 
 
 @dataclass(frozen=True)
@@ -172,6 +207,37 @@ def _solve_unit(x0: int, x1: int, p: int, modulus: int) -> int:
     return (b // p**ga) * pow(a // p**ga, -1, modulus) % modulus
 
 
+def _translation_cert(
+    g: GbsGraph, tree: set[str], p: int, k: int, l: int, eps, kind: str, target: str
+) -> QuotientCert:
+    """The verified certificate modulo p^l with every vertex image in the
+    translation subgroup and each stable letter sent to the unit solving
+    its edge equation."""
+    modulus = p**l
+    images = _vertex_images(g, tree, p, modulus, eps)
+    for e in g.edges:
+        if e.id in tree:
+            continue
+        x0 = images[vertex_gen(e.src)][0] * e.lambda0
+        x1 = images[vertex_gen(e.dst)][0] * e.lambda1
+        images[stable_letter(e.id)] = (0, _solve_unit(x0, x1, p, modulus))
+    orders = {v: hol_order(images[vertex_gen(v)], modulus) for v in g.vertices}
+    cert = QuotientCert(
+        modulus=modulus,
+        prime=p,
+        images=images,
+        claimed_orders=orders,
+        tree=tuple(sorted(tree)),
+        kind=kind,
+        base_vertex=eps.base,
+        epsilon=dict(eps.values),
+        target=target,
+        target_order=p**k,
+    )
+    _require_valid(g, tree, cert)
+    return cert
+
+
 def construct_cycle_quotient(
     g: GbsGraph,
     p: int,
@@ -212,29 +278,7 @@ def construct_cycle_quotient(
         target = f"vertex:{target_vertex}"
     tree = spanning_tree(g)
     eps = _rebased_epsilon(g, tree, p)
-    modulus = p ** (k + eps.values[v] + b)
-    images = _vertex_images(g, tree, p, modulus, eps)
-    for e in g.edges:
-        if e.id in tree:
-            continue
-        x0 = images[vertex_gen(e.src)][0] * e.lambda0
-        x1 = images[vertex_gen(e.dst)][0] * e.lambda1
-        images[stable_letter(e.id)] = (0, _solve_unit(x0, x1, p, modulus))
-    orders = {v_: hol_order(images[vertex_gen(v_)], modulus) for v_ in g.vertices}
-    cert = QuotientCert(
-        modulus=modulus,
-        prime=p,
-        images=images,
-        claimed_orders=orders,
-        tree=tuple(sorted(tree)),
-        kind="cycle",
-        base_vertex=eps.base,
-        epsilon=dict(eps.values),
-        target=target,
-        target_order=p**k,
-    )
-    _require_valid(g, tree, cert)
-    return cert
+    return _translation_cert(g, tree, p, k, k + eps.values[v] + b, eps, "cycle", target)
 
 
 def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> QuotientCert:
@@ -255,29 +299,7 @@ def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> Quotient
     if not balanced:
         raise QuotientError(f"graph is unbalanced; witness cycle {witness}")
     eps = _rebased_epsilon(g, tree, p)
-    modulus = p ** (k + eps.values[v])
-    images = _vertex_images(g, tree, p, modulus, eps)
-    for e in g.edges:
-        if e.id in tree:
-            continue
-        x0 = images[vertex_gen(e.src)][0] * e.lambda0
-        x1 = images[vertex_gen(e.dst)][0] * e.lambda1
-        images[stable_letter(e.id)] = (0, _solve_unit(x0, x1, p, modulus))
-    orders = {v_: hol_order(images[vertex_gen(v_)], modulus) for v_ in g.vertices}
-    cert = QuotientCert(
-        modulus=modulus,
-        prime=p,
-        images=images,
-        claimed_orders=orders,
-        tree=tuple(sorted(tree)),
-        kind="balanced",
-        base_vertex=eps.base,
-        epsilon=dict(eps.values),
-        target=f"vertex:{v}",
-        target_order=p**k,
-    )
-    _require_valid(g, tree, cert)
-    return cert
+    return _translation_cert(g, tree, p, k, k + eps.values[v], eps, "balanced", f"vertex:{v}")
 
 
 def construct_nonisocratic_p_quotient(g: GbsGraph, p: int) -> QuotientCert:
@@ -355,18 +377,28 @@ def verify_cert(g: GbsGraph, tree: set[str], cert: QuotientCert) -> dict:
     """Re-check a certificate: relator evaluation in the holomorph, exact
     image orders, and the power-counting order formula where it applies.
 
-    Never raises on a bad certificate; reports failure instead.
+    Costs O(log N) products per generator for its order and O(log |a|)
+    per relator letter x^a.  Never raises or hangs on a bad certificate;
+    reports failure instead: a modulus below 1, or an image whose unit
+    part is not invertible mod N, fails before any relator is evaluated.
     """
     pres = canonical_presentation(g, tree)
-    if set(cert.images) != set(pres.generators):
-        return {
-            "valid": False,
-            "orders": {},
-            "order_formula_ok": False,
-            "failing_relator": "generator set mismatch",
-        }
     N = cert.modulus
-    failing = None
+    if set(cert.images) != set(pres.generators):
+        failing = "generator set mismatch"
+    elif N < 1:
+        failing = f"modulus {N} is not positive"
+    else:
+        failing = next(
+            (
+                f"{gen}: unit part {cert.images[gen][1]} is not invertible mod {N}"
+                for gen in pres.generators
+                if math.gcd(cert.images[gen][1], N) != 1
+            ),
+            None,
+        )
+    if failing is not None:
+        return {"valid": False, "orders": {}, "order_formula_ok": False, "failing_relator": failing}
     for rel in pres.relators:
         ident = (0, 1 % N)
         acc = ident
@@ -379,11 +411,15 @@ def verify_cert(g: GbsGraph, tree: set[str], cert: QuotientCert) -> dict:
     valid = failing is None and orders == cert.claimed_orders
     formula_ok = True
     if cert.epsilon is not None:
-        l = nu_p(N, cert.prime) if N > 1 else 0
-        for v in g.vertices:
-            expected = cert.prime ** max(l - cert.epsilon[v], 0)
-            if orders[v] != expected:
-                formula_ok = False
+        if cert.prime < 2 or not set(g.vertices) <= set(cert.epsilon):
+            formula_ok = False
+        else:
+            l = nu_p(N, cert.prime)
+            cap = 2 * N.bit_length()  # every order is below N^2 <= 2^cap
+            for v in g.vertices:
+                e = max(l - cert.epsilon[v], 0)
+                if e >= cap or orders[v] != cert.prime**e:
+                    formula_ok = False
     return {
         "valid": valid,
         "orders": orders,

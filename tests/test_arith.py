@@ -50,6 +50,16 @@ def test_is_prime_large():
     assert not is_prime(2**32 + 1)
 
 
+def test_is_prime_rejects_psi12():
+    # psi_12 = 399165290221 * 798330580441 passes every prime base up to
+    # 37; base 41 witnesses it composite
+    a, b = 399165290221, 798330580441
+    assert a * b == 318665857834031151167461
+    assert is_prime(a) and is_prime(b)
+    assert not is_prime(a * b)
+    assert factorize(a * b) == {a: 1, b: 1}
+
+
 @given(st.integers(min_value=2, max_value=10**9))
 def test_factorize_reconstructs(x):
     f = factorize(x)

@@ -68,6 +68,24 @@ def test_quotient_command(capsys):
     assert doc["images"]["a_v1"] == [1, 1]
 
 
+def test_quotient_large_prime_cube(capsys):
+    code, out, _ = run(
+        capsys, "quotient", "--bs", "2", "3", "-p", "1009", "-k", "3", "--vertex", "v1", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["modulus"] == 1009**3
+    assert doc["claimed_orders"]["v1"] == 1009**3
+
+
+def test_quotient_rejects_strong_pseudoprime(capsys):
+    # psi_12: a strong pseudoprime to every prime base up to 37
+    code, _, err = run(
+        capsys, "quotient", "--bs", "2", "3", "-p", "318665857834031151167461", "--vertex", "v1"
+    )
+    assert code == 1 and "not prime" in err
+
+
 def test_quotient_torsion_auto(capsys):
     code, out, _ = run(capsys, "quotient", "--bs", "2", "4", "-p", "2", "--json")
     assert code == 0

@@ -113,6 +113,23 @@ def test_torus_cohomology():
         assert rep.euler_consistent()
 
 
+def test_inconsistent_report_raises(monkeypatch):
+    # the rank terms cancel in the Euler characteristic, so only a block
+    # mismatch between the degree-zero and degree-one assemblies shows
+    from gbsep import cohomology
+
+    original = cohomology._assemble_degree_zero
+
+    def extra_vertex_block(g, tree, m):
+        h0map, vdims, edims = original(g, tree, m)
+        return h0map, vdims + [1], edims
+
+    monkeypatch.setattr(cohomology, "_assemble_degree_zero", extra_vertex_block)
+    g, tree = setup(bs_graph(2, 3))
+    with pytest.raises(RuntimeError, match="internal error"):
+        cohomology_abstract(g, tree, trivial(5))
+
+
 def test_isocratic_witness_bs610():
     g, tree = setup(subdivide_loops(bs_graph(6, 10)))
     m = build_isocratic_witness(g, 3, 2)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, theta_graph
 from gbsep import (
@@ -167,3 +171,178 @@ def test_signed_labels_random_cycles(rng):
             rep = verify_cert(g, set(cert.tree), cert)
             assert rep["valid"] and rep["order_formula_ok"]
         done += 1
+
+
+# -- hol_order against the stepping loop it replaced --------------------------
+
+
+def _stepping_order(x, modulus):
+    """Reference order: multiply by x until the identity, up to N^2 steps."""
+    if modulus == 1:
+        return 1
+    ident = (0, 1 % modulus)
+    acc = (x[0] % modulus, x[1] % modulus)
+    order = 1
+    cap = modulus * modulus
+    while acc != ident:
+        acc = hol_mul(acc, x, modulus)
+        order += 1
+        if order > cap:
+            raise QuotientError("element order exceeds group order bound")
+    return order
+
+
+def _units(modulus):
+    """Every element (c, u) of C_N x| Aut(C_N)."""
+    return [
+        (c, u) for u in range(modulus) if math.gcd(u, modulus) == 1 for c in range(modulus)
+    ]
+
+
+def _stepped_orders(modulus):
+    """Orders of all elements by the stepping loop, walking each cyclic
+    subgroup once: when x has order n, x^j has order n / gcd(j, n)."""
+    orders = {}
+    for x in _units(modulus):
+        if x in orders:
+            continue
+        powers, acc = [x], x
+        while acc != (0, 1):
+            acc = hol_mul(acc, x, modulus)
+            powers.append(acc)
+        n = len(powers)
+        for j, y in enumerate(powers, 1):
+            orders.setdefault(y, n // math.gcd(j, n))
+    return orders
+
+
+def test_hol_order_matches_stepping_every_modulus_to_60():
+    # composite moduli that are not prime powers, and units u != 1
+    for modulus in range(1, 61):
+        for x in _units(modulus):
+            assert hol_order(x, modulus) == _stepping_order(x, modulus), (x, modulus)
+
+
+@pytest.mark.parametrize("modulus", [2**7, 3**5, 5**3, 7**3])
+def test_hol_order_matches_stepping_prime_powers(modulus):
+    orders = _stepped_orders(modulus)
+    assert len(orders) == len(_units(modulus))
+    for x, n in orders.items():
+        assert hol_order(x, modulus) == n, (x, modulus)
+    sample = random.Random(modulus).sample(sorted(orders), 50)
+    assert all(_stepping_order(x, modulus) == orders[x] for x in sample)
+
+
+def _prime_divisors(n):
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
+@given(st.integers(min_value=1, max_value=10**4), st.integers(), st.integers())
+def test_hol_order_is_the_order(modulus, c, u):
+    x = (c, u)
+    if math.gcd(u, modulus) != 1:
+        with pytest.raises(QuotientError, match="not invertible"):
+            hol_order(x, modulus)
+        return
+    n = hol_order(x, modulus)
+    ident = (0, 1 % modulus)
+    assert hol_pow(x, n, modulus) == ident
+    for q in _prime_divisors(n):
+        assert hol_pow(x, n // q, modulus) != ident
+
+
+def test_hol_order_rejects_non_units_at_once():
+    for modulus in range(2, 61):
+        for u in range(modulus):
+            if math.gcd(u, modulus) == 1:
+                continue
+            for c in (0, 1, modulus - 1):
+                with pytest.raises(QuotientError, match="not invertible"):
+                    hol_order((c, u), modulus)
+    t0 = time.perf_counter()
+    with pytest.raises(QuotientError, match="not invertible"):
+        hol_order((1, 1009), 1009**2)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(QuotientError, match="not positive"):
+        hol_order((1, 1), 0)
+    assert hol_order((5, 0), 1) == 1
+
+
+def test_hol_order_large_modulus():
+    N = 1009**3
+    assert hol_order((1, 1), N) == N
+    assert hol_order((1009, 1), N) == 1009**2
+    # 1 + 1009 has order 1009^2 mod 1009^3; with c = 1 the translation
+    # part s = ((1 + 1009)^(1009^2) - 1) / 1009 has valuation 2
+    assert hol_order((0, 1 + 1009), N) == 1009**2
+    assert hol_order((1, 1 + 1009), N) == 1009**3
+
+
+# -- verify_cert on malformed certificates -------------------------------------
+
+
+def _tampered(p, k, **changes):
+    g = subdivide_loops(bs_graph(2, 3))
+    doc = construct_cycle_quotient(g, p, k, target_vertex="v1").to_json()
+    for key, value in changes.items():
+        if key in ("modulus", "prime"):
+            doc[key] = value
+        elif key == "epsilon":
+            doc["epsilon"].update(value)
+        else:
+            doc["images"][key] = value
+    return g, QuotientCert.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "p, k, gen, image",
+    [
+        (5, 1, "t_e1b", [0, 5]),
+        (5, 1, "a_v1", [1, 5]),
+        (1009, 2, "a_v1", [1, 1009]),
+        (1009, 2, "t_e1b", [0, 0]),
+    ],
+)
+def test_verify_reports_non_unit_image(p, k, gen, image):
+    g, cert = _tampered(p, k, **{gen: image})
+    t0 = time.perf_counter()
+    rep = verify_cert(g, set(cert.tree), cert)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep == {
+        "valid": False,
+        "orders": {},
+        "order_formula_ok": False,
+        "failing_relator": f"{gen}: unit part {image[1]} is not invertible mod {p ** k}",
+    }
+
+
+@pytest.mark.parametrize("modulus", [0, -25])
+def test_verify_reports_nonpositive_modulus(modulus):
+    g, cert = _tampered(5, 2, modulus=modulus)
+    rep = verify_cert(g, set(cert.tree), cert)
+    assert not rep["valid"]
+    assert rep["failing_relator"] == f"modulus {modulus} is not positive"
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"prime": 1}, {"prime": 0}, {"epsilon": {"v1": -(10**9)}}],
+)
+def test_verify_reports_bad_order_formula_data(changes):
+    g, cert = _tampered(5, 2, **changes)
+    rep = verify_cert(g, set(cert.tree), cert)
+    assert rep["valid"] and not rep["order_formula_ok"]
+
+
+def test_verify_reports_missing_epsilon():
+    g = subdivide_loops(bs_graph(2, 3))
+    doc = construct_cycle_quotient(g, 5, 2, target_vertex="v1").to_json()
+    del doc["epsilon"]["v1"]
+    rep = verify_cert(g, set(doc["tree"]), QuotientCert.from_json(doc))
+    assert rep["valid"] and not rep["order_formula_ok"]
