@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import factorize, is_isocratic, is_prime, isocracy_locus, nu_p, p_free_part
 from .graphs import (
@@ -64,40 +63,29 @@ def hol_pow(x: Element, k: int, modulus: int) -> Element:
     return (out[0] % modulus, out[1] % modulus)
 
 
-@lru_cache(maxsize=256)
-def _phi_factors(modulus: int) -> tuple[tuple[int, int], ...]:
-    """Factorisation of Euler's phi(modulus) as sorted (prime, exponent)
-    pairs, assembled from the prime factors q of the modulus and those
-    of each q - 1."""
-    out: dict[int, int] = {}
-    for q, e in factorize(modulus).items():
-        if e > 1:
-            out[q] = out.get(q, 0) + e - 1
-        for r, f in factorize(q - 1).items():
-            out[r] = out.get(r, 0) + f
-    return tuple(sorted(out.items()))
-
-
-def _unit_order(u: int, modulus: int) -> int:
-    """Multiplicative order of the unit u mod modulus: phi(modulus) with
-    every prime stripped that keeps u's power at one."""
-    factors = _phi_factors(modulus)
-    r = math.prod(q**e for q, e in factors)
-    for q, _ in factors:
+def _unit_order(u: int, p: int, l: int) -> int:
+    """Multiplicative order of the unit u mod p^l: phi(p^l) =
+    p^(l-1) (p - 1) with every prime stripped that keeps u's power at one.
+    Only p - 1 is factored."""
+    modulus = p**l
+    r = p ** (l - 1) * (p - 1)
+    for q in [*factorize(p - 1), p]:
         while r % q == 0 and pow(u, r // q, modulus) == 1:
             r //= q
     return r
 
 
-def hol_order(x: Element, modulus: int) -> int:
-    """Order of x = (c, u) in C_N x| Aut(C_N), N = modulus, in O(log N)
-    products.
+def hol_order(x: Element, modulus: int, p: int) -> int:
+    """Order of x = (c, u) in C_N x| Aut(C_N), N = modulus = p^l.
 
     With r the multiplicative order of u, x^r = (s, 1) is a translation
     of order N / gcd(s, N), so x has order r * N / gcd(s, N).  When
-    u = 1, x is itself a translation and needs no product; otherwise r
-    comes from phi(N), factored once per modulus.  Raises QuotientError
-    when u is not a unit mod N.
+    u = 1, x is itself a translation and needs no product.  Otherwise r
+    comes from phi(N) = p^(l-1) (p - 1): factoring p - 1 by Pollard rho
+    (slow only when p - 1 has two large prime factors), then one modular
+    power per prime stripped and O(log N) products for x^r.  Raises
+    QuotientError when u is not a unit mod N, or, for u != 1, when N is
+    not a power of the prime p.
     """
     if modulus < 1:
         raise QuotientError(f"modulus {modulus} is not positive")
@@ -108,7 +96,10 @@ def hol_order(x: Element, modulus: int) -> int:
         raise QuotientError(f"unit part {x[1]} is not invertible mod {modulus}")
     if u == 1:
         return modulus // math.gcd(x[0], modulus)
-    r = _unit_order(u, modulus)
+    l = nu_p(modulus, p) if is_prime(p) else 0  # p^0 = 1 != modulus fails below
+    if p**l != modulus:
+        raise QuotientError(f"modulus {modulus} is not a power of the prime {p}")
+    r = _unit_order(u, p, l)
     return r * modulus // math.gcd(hol_pow(x, r, modulus)[0], modulus)
 
 
@@ -221,7 +212,7 @@ def _translation_cert(
         x0 = images[vertex_gen(e.src)][0] * e.lambda0
         x1 = images[vertex_gen(e.dst)][0] * e.lambda1
         images[stable_letter(e.id)] = (0, _solve_unit(x0, x1, p, modulus))
-    orders = {v: hol_order(images[vertex_gen(v)], modulus) for v in g.vertices}
+    orders = {v: hol_order(images[vertex_gen(v)], modulus, p) for v in g.vertices}
     cert = QuotientCert(
         modulus=modulus,
         prime=p,
@@ -377,17 +368,21 @@ def verify_cert(g: GbsGraph, tree: set[str], cert: QuotientCert) -> dict:
     """Re-check a certificate: relator evaluation in the holomorph, exact
     image orders, and the power-counting order formula where it applies.
 
-    Costs O(log N) products per generator for its order and O(log |a|)
-    per relator letter x^a.  Never raises or hangs on a bad certificate;
-    reports failure instead: a modulus below 1, or an image whose unit
-    part is not invertible mod N, fails before any relator is evaluated.
+    Reports a bad certificate instead of raising.  Before any relator is
+    evaluated it fails a modulus that is not a power p^l of the stated
+    prime p, and an image whose unit part is not invertible mod N; after
+    a failing relator no order is computed.  Costs O(log |a|) products
+    per relator letter x^a and, per vertex generator, none when its unit
+    part is 1 (as in every certificate gbsep builds) and otherwise what
+    hol_order costs, which includes factoring p - 1.
     """
     pres = canonical_presentation(g, tree)
-    N = cert.modulus
+    N, p = cert.modulus, cert.prime
+    l = nu_p(N, p) if N >= 1 and is_prime(p) else -1
     if set(cert.images) != set(pres.generators):
         failing = "generator set mismatch"
-    elif N < 1:
-        failing = f"modulus {N} is not positive"
+    elif l < 0 or p**l != N:
+        failing = f"modulus {N} is not a power of the prime {p}"
     else:
         failing = next(
             (
@@ -397,34 +392,33 @@ def verify_cert(g: GbsGraph, tree: set[str], cert: QuotientCert) -> dict:
             ),
             None,
         )
+    if failing is None:
+        for rel in pres.relators:
+            ident = (0, 1 % N)
+            acc = ident
+            for gen, exp in rel:
+                acc = hol_mul(acc, hol_pow(cert.images[gen], exp, N), N)
+            if acc != ident:
+                failing = " ".join(f"{g_}^{e_}" for g_, e_ in rel)
+                break
     if failing is not None:
         return {"valid": False, "orders": {}, "order_formula_ok": False, "failing_relator": failing}
-    for rel in pres.relators:
-        ident = (0, 1 % N)
-        acc = ident
-        for gen, exp in rel:
-            acc = hol_mul(acc, hol_pow(cert.images[gen], exp, N), N)
-        if acc != ident:
-            failing = " ".join(f"{g_}^{e_}" for g_, e_ in rel)
-            break
-    orders = {v: hol_order(cert.images[vertex_gen(v)], N) for v in g.vertices}
-    valid = failing is None and orders == cert.claimed_orders
+    orders = {v: hol_order(cert.images[vertex_gen(v)], N, p) for v in g.vertices}
     formula_ok = True
     if cert.epsilon is not None:
-        if cert.prime < 2 or not set(g.vertices) <= set(cert.epsilon):
+        if not set(g.vertices) <= set(cert.epsilon):
             formula_ok = False
         else:
-            l = nu_p(N, cert.prime)
             cap = 2 * N.bit_length()  # every order is below N^2 <= 2^cap
             for v in g.vertices:
                 e = max(l - cert.epsilon[v], 0)
-                if e >= cap or orders[v] != cert.prime**e:
+                if e >= cap or orders[v] != p**e:
                     formula_ok = False
     return {
-        "valid": valid,
+        "valid": orders == cert.claimed_orders,
         "orders": orders,
         "order_formula_ok": formula_ok,
-        "failing_relator": failing,
+        "failing_relator": None,
     }
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, theta_graph
 from gbsep import (
+    GbsGraph,
     QuotientCert,
     QuotientError,
     bs_graph,
@@ -21,6 +22,7 @@ from gbsep import (
     subdivide_loops,
     verify_cert,
 )
+from gbsep.arith import is_prime
 from gbsep.quotients import hol_inv, hol_mul, hol_order, hol_pow
 
 
@@ -31,8 +33,8 @@ def test_holomorph_arithmetic():
     assert hol_mul(x, hol_inv(x, N), N) == (0, 1)
     assert hol_pow(x, 0, N) == (0, 1)
     assert hol_mul(hol_pow(x, 3, N), hol_pow(x, -3, N), N) == (0, 1)
-    assert hol_order((1, 1), N) == 25
-    assert hol_order((0, 7), N) == 4  # 7 has order 4 mod 25
+    assert hol_order((1, 1), N, 5) == 25
+    assert hol_order((0, 7), N, 5) == 4  # 7 has order 4 mod 25
 
 
 def test_bs23_worked_instance():
@@ -216,19 +218,32 @@ def _stepped_orders(modulus):
     return orders
 
 
-def test_hol_order_matches_stepping_every_modulus_to_60():
-    # composite moduli that are not prime powers, and units u != 1
-    for modulus in range(1, 61):
+def _prime_powers(bound):
+    """(p, l, p^l) for every prime power 1 < p^l <= bound."""
+    return [
+        (p, l, p**l)
+        for p in range(2, bound + 1)
+        if is_prime(p)
+        for l in range(1, bound.bit_length())
+        if p**l <= bound
+    ]
+
+
+def test_hol_order_matches_stepping_every_prime_power_to_60():
+    # primes and the higher powers 4, 8, ..., 49, with units u != 1
+    assert hol_order((3, 5), 1, 7) == 1
+    for p, _, modulus in _prime_powers(60):
         for x in _units(modulus):
-            assert hol_order(x, modulus) == _stepping_order(x, modulus), (x, modulus)
+            assert hol_order(x, modulus, p) == _stepping_order(x, modulus), (x, modulus)
 
 
-@pytest.mark.parametrize("modulus", [2**7, 3**5, 5**3, 7**3])
-def test_hol_order_matches_stepping_prime_powers(modulus):
+@pytest.mark.parametrize("p, l", [(2, 7), (3, 5), (5, 3), (7, 3)])
+def test_hol_order_matches_stepping_prime_powers(p, l):
+    modulus = p**l
     orders = _stepped_orders(modulus)
     assert len(orders) == len(_units(modulus))
     for x, n in orders.items():
-        assert hol_order(x, modulus) == n, (x, modulus)
+        assert hol_order(x, modulus, p) == n, (x, modulus)
     sample = random.Random(modulus).sample(sorted(orders), 50)
     assert all(_stepping_order(x, modulus) == orders[x] for x in sample)
 
@@ -243,45 +258,68 @@ def _prime_divisors(n):
     return out | ({n} if n > 1 else set())
 
 
-@given(st.integers(min_value=1, max_value=10**4), st.integers(), st.integers())
-def test_hol_order_is_the_order(modulus, c, u):
+@given(st.sampled_from(_prime_powers(10**4)), st.integers(), st.integers())
+def test_hol_order_is_the_order(power, c, u):
+    p, _, modulus = power
     x = (c, u)
-    if math.gcd(u, modulus) != 1:
+    if u % p == 0:
         with pytest.raises(QuotientError, match="not invertible"):
-            hol_order(x, modulus)
+            hol_order(x, modulus, p)
         return
-    n = hol_order(x, modulus)
-    ident = (0, 1 % modulus)
+    n = hol_order(x, modulus, p)
+    ident = (0, 1)
     assert hol_pow(x, n, modulus) == ident
     for q in _prime_divisors(n):
         assert hol_pow(x, n // q, modulus) != ident
 
 
 def test_hol_order_rejects_non_units_at_once():
-    for modulus in range(2, 61):
-        for u in range(modulus):
-            if math.gcd(u, modulus) == 1:
-                continue
+    for p, _, modulus in _prime_powers(60):
+        for u in range(0, modulus, p):
             for c in (0, 1, modulus - 1):
                 with pytest.raises(QuotientError, match="not invertible"):
-                    hol_order((c, u), modulus)
+                    hol_order((c, u), modulus, p)
     t0 = time.perf_counter()
     with pytest.raises(QuotientError, match="not invertible"):
-        hol_order((1, 1009), 1009**2)
+        hol_order((1, 1009), 1009**2, 1009)
     assert time.perf_counter() - t0 < 1.0
     with pytest.raises(QuotientError, match="not positive"):
-        hol_order((1, 1), 0)
-    assert hol_order((5, 0), 1) == 1
+        hol_order((1, 1), 0, 2)
+    assert hol_order((5, 0), 1, 2) == 1
+
+
+def test_hol_order_needs_a_prime_power_modulus_for_units():
+    # translations need no phi(N), so p is not consulted
+    assert hol_order((2, 1), 36, 6) == 18
+    for modulus, p in [(36, 6), (25, 7), (25, 1), (12, 2), (9, 9)]:
+        with pytest.raises(QuotientError, match="not a power of the prime"):
+            hol_order((1, 5 if modulus % 5 else 7), modulus, p)
 
 
 def test_hol_order_large_modulus():
     N = 1009**3
-    assert hol_order((1, 1), N) == N
-    assert hol_order((1009, 1), N) == 1009**2
+    assert hol_order((1, 1), N, 1009) == N
+    assert hol_order((1009, 1), N, 1009) == 1009**2
     # 1 + 1009 has order 1009^2 mod 1009^3; with c = 1 the translation
     # part s = ((1 + 1009)^(1009^2) - 1) / 1009 has valuation 2
-    assert hol_order((0, 1 + 1009), N) == 1009**2
-    assert hol_order((1, 1 + 1009), N) == 1009**3
+    assert hol_order((0, 1 + 1009), N, 1009) == 1009**2
+    assert hol_order((1, 1 + 1009), N, 1009) == 1009**3
+
+
+def test_hol_order_factors_only_p_minus_1():
+    # P is an 89-bit prime with P - 1 = 2 * 3 * 5 * 17 * 23 * 89 * 353 *
+    # 397 * 683 * 2113 * 2931542417; factoring N = P^2 itself would take
+    # Pollard rho about 2^44 steps
+    P = 2**89 - 1
+    t0 = time.perf_counter()
+    assert hol_order((0, P**2 - 1), P**2, P) == 2
+    assert hol_order((0, P - 1), P**2, P) == 2 * P
+    # 2 has order 89 mod P and 89 P mod P^2, since 2^89 = P + 1
+    assert hol_order((1, 2), P**2, P) == 89 * P
+    assert time.perf_counter() - t0 < 1.0
+    x, ident = (1, 2), (0, 1)
+    assert hol_pow(x, 89 * P, P**2) == ident
+    assert hol_pow(x, 89, P**2) != ident and hol_pow(x, P, P**2) != ident
 
 
 # -- verify_cert on malformed certificates -------------------------------------
@@ -322,17 +360,64 @@ def test_verify_reports_non_unit_image(p, k, gen, image):
     }
 
 
-@pytest.mark.parametrize("modulus", [0, -25])
-def test_verify_reports_nonpositive_modulus(modulus):
-    g, cert = _tampered(5, 2, modulus=modulus)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"modulus": 0},
+        {"modulus": -25},
+        {"modulus": 50},
+        {"prime": 1},
+        {"prime": 0},
+        {"prime": 7},
+        {"modulus": 36, "prime": 6},
+    ],
+)
+def test_verify_reports_modulus_not_a_prime_power(changes):
+    g, cert = _tampered(5, 2, **changes)
     rep = verify_cert(g, set(cert.tree), cert)
-    assert not rep["valid"]
-    assert rep["failing_relator"] == f"modulus {modulus} is not positive"
+    assert rep == {
+        "valid": False,
+        "orders": {},
+        "order_formula_ok": False,
+        "failing_relator": f"modulus {cert.modulus} is not a power of the prime {cert.prime}",
+    }
+
+
+def test_verify_computes_no_order_after_a_failing_relator():
+    # a legitimate certificate at a 121-bit prime P = 2ab + 1 with a, b
+    # 60-bit primes, so factoring P - 1 would take Pollard rho about 2^30
+    # steps; tampered to a unit part u != 1, the relators fail first
+    a, b = 965332480657837951, 962520965718444029
+    P = 2 * a * b + 1
+    g, cert = _tampered(P, 2, a_v1=[1, 2])
+    t0 = time.perf_counter()
+    rep = verify_cert(g, set(cert.tree), cert)
+    assert time.perf_counter() - t0 < 1.0
+    assert not rep["valid"] and rep["orders"] == {} and rep["failing_relator"]
+
+
+def test_verify_unit_image_order():
+    # one vertex, no relators: any unit image is a homomorphism, and its
+    # order needs only P - 1 factored, not N = P^2
+    g = GbsGraph(("v0",), ())
+    P = 2**89 - 1
+    cert = QuotientCert(
+        modulus=P**2,
+        prime=P,
+        images={"a_v0": (1, 2)},
+        claimed_orders={"v0": 89 * P},
+        tree=(),
+        kind="balanced",
+    )
+    t0 = time.perf_counter()
+    rep = verify_cert(g, set(), cert)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep["valid"] and rep["orders"] == {"v0": 89 * P}
 
 
 @pytest.mark.parametrize(
     "changes",
-    [{"prime": 1}, {"prime": 0}, {"epsilon": {"v1": -(10**9)}}],
+    [{"epsilon": {"v1": -(10**9)}}, {"epsilon": {"v1": 7}}],
 )
 def test_verify_reports_bad_order_formula_data(changes):
     g, cert = _tampered(5, 2, **changes)
