@@ -129,18 +129,29 @@ def factorize(x: int) -> dict[int, int]:
     return out
 
 
-def is_isocratic(n: int, m: int) -> bool:
-    """True iff every prime dividing both n and m divides them with equal power.
+def _isocracy_split(n: int, m: int) -> tuple[int, int]:
+    """(g, d) with g = gcd(n, m) and d = (|n|/g) * (|m|/g).
 
-    Coprime pairs are vacuously isocratic.  Signs are ignored.
+    For p | g one of n/g, m/g is prime to p and the other has valuation
+    |nu_p(n) - nu_p(m)|; a prime off g divides at most one of n, m.  So
+    the primes of d are exactly the primes with nu_p(n) != nu_p(m), and
+    those among them that divide both n and m are the primes of gcd(g, d).
     """
     if n == 0 or m == 0:
         raise ValueError("isocracy undefined at zero")
     g = math.gcd(n, m)
-    for p in factorize(g) if g > 1 else ():
-        if nu_p(n, p) != nu_p(m, p):
-            return False
-    return True
+    return g, abs(n) // g * (abs(m) // g)
+
+
+def is_isocratic(n: int, m: int) -> bool:
+    """True iff every prime dividing both n and m divides them with equal power.
+
+    Coprime pairs are vacuously isocratic.  Signs are ignored.  With
+    g = gcd(n, m) and d = n*m/g^2 the pair is isocratic iff gcd(g, d) = 1:
+    three gcds and no factoring.
+    """
+    g, d = _isocracy_split(n, m)
+    return math.gcd(g, d) == 1
 
 
 @dataclass(frozen=True)
@@ -197,13 +208,10 @@ def isocracy_locus(n: int, m: int) -> PrimeSet:
     """The cofinite set of primes p with nu_p(n) == nu_p(m).
 
     The exception list is exactly the set of primes dividing n*m with
-    unequal valuations on the two sides.
+    unequal valuations on the two sides, which are the primes of
+    d = n*m/gcd(n, m)^2.  Only d is factored, so equal products cost no
+    factoring at all.  Membership of one prime needs no locus: compare
+    nu_p(n) with nu_p(m).
     """
-    if n == 0 or m == 0:
-        raise ValueError("isocracy locus undefined at zero")
-    bad = [
-        p
-        for p in factorize(n * m)
-        if nu_p(n, p) != nu_p(m, p)
-    ]
-    return PrimeSet.cofinite(bad)
+    _, d = _isocracy_split(n, m)
+    return PrimeSet.cofinite(factorize(d))

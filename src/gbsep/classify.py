@@ -11,10 +11,11 @@ remainder certified on the abstract side only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .arith import factorize, is_isocratic, isocracy_locus, nu_p, primes_up_to
+from .arith import _isocracy_split, factorize, is_isocratic, is_prime, nu_p
 from .cohomology import (
     FpModule,
     _licensed_topology,
@@ -138,28 +139,29 @@ def classify_gbs(g: GbsGraph) -> Verdict:
     return _classify_general(r)
 
 
-def _small_locus_primes(locus, count: int) -> list[int]:
-    out = []
-    for p in primes_up_to(1000):
-        if p in locus:
-            out.append(p)
-            if len(out) == count:
-                break
-    return out
+def _primes():
+    """Every prime in increasing order, with no ceiling."""
+    return (p for p in itertools.count(2) if is_prime(p))
+
+
+def _small_locus_primes(n: int, m: int, count: int) -> list[int]:
+    """The ``count`` least primes p with nu_p(n) == nu_p(m); every prime
+    dividing neither qualifies, so about log2|n*m| + count primes are tried."""
+    return list(itertools.islice((p for p in _primes() if nu_p(n, p) == nu_p(m, p)), count))
 
 
 def _classify_cycle(r: GbsGraph) -> Verdict:
     work = subdivide_loops(r)
     n, m = augmentation_products(work, the_cycle(work))
-    if math.gcd(n, m) == 1 or n == m:
-        locus = isocracy_locus(n, m)
+    g, d = _isocracy_split(n, m)
+    if g == 1 or n == m:
         certs = []
-        for p in _small_locus_primes(locus, 2):
+        for p in _small_locus_primes(n, m, 2):
             cert = construct_cycle_quotient(
                 work, p, 2, target_vertex=min(work.vertices)
             )
             certs.append(Certificate("quotient", work, cert=cert))
-        reason = "coprime augmentation products" if math.gcd(n, m) == 1 else (
+        reason = "coprime augmentation products" if g == 1 else (
             "equal augmentation products"
         )
         return Verdict(
@@ -172,12 +174,8 @@ def _classify_cycle(r: GbsGraph) -> Verdict:
             "carry the full pro-isocracy topology and cohomology matches in "
             "dimension two",
         )
-    if not is_isocratic(n, m):
-        p = min(
-            q
-            for q in factorize(math.gcd(n, m))
-            if nu_p(n, q) != nu_p(m, q)
-        )
+    if math.gcd(g, d) != 1:
+        p = min(factorize(math.gcd(g, d)))
         cert = construct_nonisocratic_p_quotient(work, p)
         return Verdict(
             separable=False,
@@ -190,10 +188,8 @@ def _classify_cycle(r: GbsGraph) -> Verdict:
             f"{p}-torsion and infinite cohomological dimension",
         )
     # isocratic, a common factor, unequal products
-    q = min(factorize(math.gcd(n, m)))
-    p = min(
-        qq for qq in factorize(n * m) if (n % qq == 0) != (m % qq == 0)
-    )
+    q = min(factorize(g))
+    p = min(factorize(d))
     witness = build_isocratic_witness(work, p, q)
     certs = [
         Certificate(
@@ -262,8 +258,8 @@ def _classify_general(r: GbsGraph) -> Verdict:
             "module", r, module=witness, claims={"h2_abstract_ge": 1}
         )
     else:
-        q = min(p for p in primes_up_to(1000) if math.prod(
-            e.i0 * e.i1 for e in r.edges) % p)
+        indices = math.prod(e.i0 * e.i1 for e in r.edges)
+        q = next(p for p in _primes() if indices % p)
         witness = FpModule(q, 1, {})
         module_cert = Certificate(
             "module", r, module=witness, claims={"h2_abstract_ge": r.betti - 1}

@@ -132,30 +132,24 @@ def norm_element(a: np.ndarray, exponent: int, p: int) -> np.ndarray:
     """The operator N with N(a - 1) = a^exponent - 1.
 
     For exponent k > 0 this is 1 + a + ... + a^(k-1); for k < 0 it is
-    -(a^k + ... + a^-1), which has the same number of terms.
+    -(a^k + ... + a^-1) = -a^k * N_|k|.  N_|k| is built by doubling over
+    the bits of |k|, from N_2j = N_j (1 + a^j) and N_(j+1) = 1 + a N_j,
+    so it costs O(log |k|) matrix products, not |k|.
     """
     if exponent == 0:
         raise ValueError("norm element undefined for exponent 0")
-    d = a.shape[0]
-    out = np.zeros((d, d), dtype=np.int64)
-    if exponent > 0:
-        term = linalg.identity(d, p)
-        step = a
-        rng = range(exponent)
-    else:
-        term = linalg.mat_pow(a, -1, p)
-        step = term
-        rng = range(-exponent)
-    acc = linalg.identity(d, p)
-    for _ in rng:
-        if exponent > 0:
-            out = (out + acc) % p
-            acc = acc @ a % p
-        else:
-            acc = acc @ step % p
-            out = (out + acc) % p
+    one = linalg.identity(a.shape[0], p)
+    a = linalg.mod(a, p)
+    out = np.zeros_like(one)  # N_j
+    power = one  # a^j
+    for bit in bin(abs(exponent))[2:]:
+        out = (out + power @ out) % p
+        power = power @ power % p
+        if bit == "1":
+            out = (one + a @ out) % p
+            power = power @ a % p
     if exponent < 0:
-        out = (-out) % p
+        out = (-linalg.mat_pow(a, exponent, p) @ out) % p
     return out
 
 

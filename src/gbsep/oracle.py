@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, nu_p
+from .arith import _isocracy_split, factorize, nu_p
 from .graphs import GbsGraph, Presentation, augmentation_products, the_cycle
 
 
@@ -219,10 +219,10 @@ def check_topology_prediction(g: GbsGraph, spectrum: OrderSpectrum, predicted, b
     if not spectrum.exhaustive:
         raise OracleError("spectrum is not exhaustive")
     n, m = augmentation_products(g, the_cycle(g))
-    torsion_cap = {}
-    for p in factorize(math.gcd(n, m)):
-        if nu_p(n, p) != nu_p(m, p):
-            torsion_cap[p] = min(nu_p(n, p), nu_p(m, p))
+    g, d = _isocracy_split(n, m)
+    torsion_cap = {
+        p: min(nu_p(n, p), nu_p(m, p)) for p in factorize(math.gcd(g, d))
+    }
     fibre_orders: set[int] = set()
     for gen, orders in spectrum.orders.items():
         if gen.startswith("a"):

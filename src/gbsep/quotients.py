@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_isocratic, is_prime, isocracy_locus, nu_p, p_free_part
+from .arith import factorize, is_isocratic, is_prime, nu_p, p_free_part
 from .graphs import (
     GbsGraph,
     augmentation_products,
@@ -256,7 +256,7 @@ def construct_cycle_quotient(
     n, m = augmentation_products(g, the_cycle(g))
     if not is_isocratic(n, m):
         raise QuotientError("cycle is not isocratic")
-    if p not in isocracy_locus(n, m):
+    if nu_p(n, p) != nu_p(m, p):
         raise QuotientError(f"{p} is not in the isocracy locus of ({n}, {m})")
     if target_edge is not None:
         e = g.edge(target_edge)

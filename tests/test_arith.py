@@ -3,11 +3,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbsep.arith import (
     PrimeSet,
+    _isocracy_split,
     factorize,
     is_isocratic,
     is_prime,
@@ -112,3 +113,124 @@ def test_primeset_membership_and_json():
 def test_all_primes():
     assert 97 in PrimeSet.all_primes()
     assert PrimeSet.all_primes().is_cofinite
+
+
+# small primes, and two above 2**31 that Pollard rho must find in
+# isocracy_locus; powers of the large ones stay low to keep rho quick
+_POOL = (2, 3, 5, 7, 11, 2147483659, 4294967311)
+
+
+def _pool_factorize(x):
+    """Trial division by _POOL; every test pair is built from it."""
+    x, out = abs(x), {}
+    for p in _POOL:
+        while x % p == 0:
+            out[p] = out.get(p, 0) + 1
+            x //= p
+    assert x == 1
+    return out
+
+
+# Factoring references: the bodies is_isocratic, isocracy_locus and the
+# prime picks of classify._classify_cycle had before they moved to gcds,
+# with factorize swapped for _pool_factorize.
+
+
+def _ref_is_isocratic(n, m):
+    g = math.gcd(n, m)
+    for p in _pool_factorize(g) if g > 1 else ():
+        if nu_p(n, p) != nu_p(m, p):
+            return False
+    return True
+
+
+def _ref_isocracy_locus(n, m):
+    return PrimeSet.cofinite([p for p in _pool_factorize(n * m) if nu_p(n, p) != nu_p(m, p)])
+
+
+def _ref_named_primes(n, m):
+    """(non-isocratic p, isocratic q, isocratic p), None where undefined.
+
+    The last two are picked only for isocratic pairs."""
+    g = math.gcd(n, m)
+    shared = _pool_factorize(g) if g > 1 else {}
+    unequal = [q for q in shared if nu_p(n, q) != nu_p(m, q)]
+    one_side = [q for q in _pool_factorize(n * m) if (n % q == 0) != (m % q == 0)]
+    return (
+        min(unequal, default=None),
+        min(shared, default=None),
+        min(one_side, default=None),
+    )
+
+
+def _named_primes(n, m):
+    """The same picks from gcds: the primes of gcd(g, d), g and d."""
+    g, d = _isocracy_split(n, m)
+    return tuple(
+        min(_pool_factorize(x), default=None) for x in (math.gcd(g, d), g, d)
+    )
+
+
+@st.composite
+def signed_pairs(draw):
+    """Nonzero (n, m) over _POOL: shared primes with equal or unequal
+    powers, prime powers, n = m up to sign, and coprime pairs."""
+    shape = draw(st.sampled_from(["any", "equal", "coprime", "prime power"]))
+    primes = draw(st.lists(st.sampled_from(_POOL), max_size=3, unique=True))
+    n = m = 1
+    for p in primes:
+        top = 3 if p < 100 else 2
+        a = draw(st.integers(0, top))
+        b = draw(st.integers(0, top))
+        if shape == "coprime":
+            b = 0 if draw(st.booleans()) else b
+            a = 0 if b else a
+        n *= p**a
+        m *= p**b
+    if shape == "equal":
+        m = n
+    elif shape == "prime power":
+        p = draw(st.sampled_from(_POOL))
+        top = 4 if p < 100 else 2
+        n, m = p ** draw(st.integers(1, top)), p ** draw(st.integers(0, top))
+    return n * draw(st.sampled_from([1, -1])), m * draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_pairs())
+@example((12, 18))
+@example((6, 10))
+@example((2147483659 * 3, 2147483659**2 * 3))
+@example((-(4294967311 * 5), 4294967311 * 5))
+def test_gcd_isocracy_matches_factoring(pair):
+    n, m = pair
+    assert is_isocratic(n, m) == _ref_is_isocratic(n, m)
+    locus = isocracy_locus(n, m)
+    assert locus == _ref_isocracy_locus(n, m)
+    for p in (*_POOL, 13):
+        assert (p in locus) == (nu_p(n, p) == nu_p(m, p))
+    named, ref = _named_primes(n, m), _ref_named_primes(n, m)
+    assert named[0] == ref[0]
+    if is_isocratic(n, m):
+        assert named == ref
+
+
+def test_isocracy_split():
+    assert _isocracy_split(12, -18) == (6, 6)
+    assert _isocracy_split(-5, 5) == (5, 1)
+    assert _isocracy_split(4, 9) == (1, 36)
+    with pytest.raises(ValueError):
+        _isocracy_split(3, 0)
+
+
+def test_equal_products_factor_nothing(monkeypatch):
+    import gbsep.arith as arith
+
+    def refuse(x):
+        raise AssertionError(f"factorize({x}) called")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    a, b = 62604139033, 67977912641  # 36-bit primes
+    assert is_isocratic(a * b, -a * b)
+    assert is_isocratic(a * a * b, a * b * b) is False
+    assert is_isocratic(a, b)

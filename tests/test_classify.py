@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import time
 
 import pytest
 
+import gbsep.arith
 from conftest import cycle_graph, random_graph, theta_graph
 from gbsep import (
     Edge,
@@ -16,6 +19,7 @@ from gbsep import (
     self_audit,
     subdivide_loops,
 )
+from gbsep.arith import primes_up_to
 from gbsep.classify import SEPARABLE_CASES
 
 
@@ -162,3 +166,47 @@ def test_isocratic_cycle_with_reversed_edge():
     v = classify_gbs(g)
     assert (v.case, v.separable, v.cd_profinite) == ("IsocraticNotCoprime", False, 2)
     assert self_audit(v)
+
+
+def test_coprime_cycle_with_every_small_prime():
+    # every prime below 1000 divides n or m, so the two locus primes lie above
+    ps = primes_up_to(1000)
+    v = classify_bs(math.prod(ps[0::2]), math.prod(ps[1::2]))
+    assert v.case == "CycleCoprime"
+    assert [c.cert.prime for c in v.certificates] == [1009, 1013]
+    assert self_audit(v)
+
+
+def test_general_branch_prime_above_1000():
+    # two loops whose indices cover every prime below 1000
+    p = math.prod(primes_up_to(1000))
+    g = GbsGraph(("v0",), (Edge("e1", "v0", "v0", p, 1), Edge("e2", "v0", "v0", 2, 1)))
+    v = classify_gbs(g)
+    assert v.case == "IsocraticNotCoprime" and v.cd_profinite == "unknown"
+    module = next(c for c in v.certificates if c.kind == "module")
+    assert module.module.prime == 1009
+    assert self_audit(v)
+
+
+# 36-bit primes
+A, B, C, D, E = 62604139033, 67977912641, 53023724053, 65216779723, 66603052151
+
+
+@pytest.mark.parametrize("n, m", [(A * B, A * B), (A * C, D * E)])
+def test_equal_and_coprime_products_factor_nothing(monkeypatch, n, m):
+    calls = []
+    real = gbsep.arith.factorize
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gbsep") and getattr(mod, "factorize", None) is real:
+            monkeypatch.setattr(mod, "factorize", counting)
+    t0 = time.perf_counter()
+    v = classify_bs(n, m)
+    assert v.case == "CycleCoprime" and len(v.certificates) == 2
+    assert self_audit(v)
+    assert time.perf_counter() - t0 < 1.0
+    assert calls == []

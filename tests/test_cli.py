@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from gbsep.arith import primes_up_to
 from gbsep.cli import main
 
 THETA_SKEW = """
@@ -152,3 +154,15 @@ def test_json_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "--bs", "6", "10", "--json")
     _, out2, _ = run(capsys, "classify", "--bs", "6", "10", "--json")
     assert out1 == out2
+
+
+def test_classify_two_loops_covering_small_primes(tmp_path, capsys):
+    # the loop indices are divisible by every prime below 1000
+    p = math.prod(primes_up_to(1000))
+    f = tmp_path / "loops.gbs"
+    f.write_text(f"vertex v0\nedge e1 v0 v0 {p} 1\nedge e2 v0 v0 2 1\n")
+    code, out, _ = run(capsys, "classify", str(f), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["case"] == "IsocraticNotCoprime" and doc["self_audit"] is True
+    assert doc["certificates"][0]["module"]["prime"] == 1009

@@ -81,6 +81,45 @@ def test_norm_element_identity():
         assert np.array_equal(lhs, rhs)
 
 
+def _stepping_norm(a, k, p):
+    """Reference: the |k|-term sum norm_element used to compute."""
+    from gbsep.linalg import identity, mat_pow
+
+    step = a if k > 0 else mat_pow(a, -1, p)
+    acc = identity(a.shape[0], p) if k > 0 else step
+    out = np.zeros_like(acc)
+    for _ in range(abs(k)):
+        out = (out + acc) % p
+        acc = acc @ step % p
+    return out if k > 0 else (-out) % p
+
+
+def test_norm_element_matches_stepping():
+    import random
+
+    from gbsep.linalg import rank
+
+    rng = random.Random(7)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 101])
+        d = rng.randint(1, 4)
+        a = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        if rank(a, p) < d:
+            continue
+        k = rng.choice([1, -1]) * rng.randint(1, 70)
+        assert np.array_equal(norm_element(a, k, p), _stepping_norm(a, k, p)), (a, k, p)
+
+
+def test_norm_element_huge_exponent():
+    # the trivial action has norm k; a 1,400-bit exponent takes no |k| loop
+    k = 3**900 + 1
+    for sign in (1, -1):
+        assert norm_element(np.eye(2, dtype=np.int64), sign * k, 1009).tolist() == [
+            [sign * k % 1009, 0],
+            [0, sign * k % 1009],
+        ]
+
+
 def test_hbar_bs23_trivial():
     g, tree = setup(bs_graph(2, 3))
     hbar, _, _ = assemble_hbar(g, tree, trivial(7))
