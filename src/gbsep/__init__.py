@@ -4,7 +4,7 @@ Decide, from a labelled-graph description, whether a GBS group has
 separable cohomology and what its profinite cohomological dimension is,
 with machine-checkable certificates: explicit finite quotients into
 holomorphs of cyclic groups, witness modules with nonvanishing second
-cohomology, and brute-force oracle confirmations.
+cohomology, and exhaustive oracle confirmations.
 """
 
 from .arith import (

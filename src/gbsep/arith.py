@@ -93,10 +93,30 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return d
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == n and k a prime, or None if n is no such power."""
+    for k in primes_up_to(n.bit_length()):
+        r = _iroot(n, k)
+        if r**k == n:
+            return r, k
+    return None
+
+
 def factorize(x: int) -> dict[int, int]:
     """Prime factorization of |x| as {prime: multiplicity}.
 
-    Trial division up to 10**4, Pollard rho beyond that.  Raises on
+    Trial division up to 10**4; beyond that a perfect power r**k is taken
+    apart by an integer root and anything else by Pollard rho.  Raises on
     x == 0.  A factor above is_prime's proven bound is a probable prime.
     """
     if x == 0:
@@ -115,18 +135,33 @@ def factorize(x: int) -> dict[int, int]:
         d += 2
     if x > 1:
         rng = random.Random(0x5EED)
-        stack = [x]
+        stack = [(x, 1)]  # (cofactor, multiplicity)
         while stack:
-            n = stack.pop()
+            n, e = stack.pop()
             if n == 1:
                 continue
             if is_prime(n):
-                out[n] = out.get(n, 0) + 1
+                out[n] = out.get(n, 0) + e
+                continue
+            power = _perfect_power(n)
+            if power:
+                r, k = power
+                stack.append((r, e * k))
                 continue
             d = _pollard_rho(n, rng)
-            stack.append(d)
-            stack.append(n // d)
+            stack.append((d, e))
+            stack.append((n // d, e))
     return out
+
+
+def unit_order(u: int, modulus: int, r: int, primes) -> int:
+    """Multiplicative order of the unit u mod modulus, given a multiple r
+    of it (phi(modulus), say) and every prime of r: strip each prime
+    while u's power stays at one."""
+    for q in primes:
+        while r % q == 0 and pow(u, r // q, modulus) == 1:
+            r //= q
+    return r
 
 
 def _isocracy_split(n: int, m: int) -> tuple[int, int]:

@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("auto", "cycle", "balanced", "torsion"), default="auto")
     sp.set_defaults(func=_cmd_quotient)
 
-    sp = sub.add_parser("oracle", help="brute-force quotient search")
+    sp = sub.add_parser("oracle", help="exhaustive quotient search")
     common(sp)
     sp.add_argument("--degree", type=int, help="permutation search degree")
     sp.add_argument("--ncap", type=int, help="metacyclic modulus cap")

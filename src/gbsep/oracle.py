@@ -1,11 +1,20 @@
-"""Brute-force ground truth: exhaustive homomorphism searches into small
-finite groups.
+"""Ground truth by exhaustive search: every homomorphism into small finite
+groups, tried one candidate at a time or accounted for by class.
 
 Two target families.  Symmetric groups of low degree catch arbitrary
 (including non-metabelian) quotients; holomorph-style metacyclic
 solutions reach deep prime-power orders cheaply.  Both report the set of
 achievable image orders per generator, which is what the predicted
 induced topology constrains.
+
+Both searches stay exhaustive.  The permutation search tries class
+representatives times all of S_d, with every relator power computed once
+per call, and checks a relator point by point: it costs about
+p(d) * d! relator checks, most stopping at the first point.  The
+metacyclic search groups the solutions (N, x, u) by the additive order of
+x, which decides the relation, so it costs sum over N <= cap of
+phi(N) * (number of divisors of N) residue checks plus one unit order per
+unit, instead of sum of N * phi(N) products.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .arith import _isocracy_split, factorize, nu_p
+from .arith import _isocracy_split, factorize, nu_p, primes_up_to, unit_order
 from .graphs import GbsGraph, Presentation, augmentation_products, the_cycle
 
 
@@ -46,45 +55,32 @@ class OrderSpectrum:
 Perm = tuple[int, ...]
 
 
-def _perm_mul(a: Perm, b: Perm) -> Perm:
-    """(a then b) as functions acting on the left: (ab)(i) = a(b(i))."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _perm_inv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
-
-
-def _perm_pow(a: Perm, k: int) -> Perm:
-    d = len(a)
-    if k < 0:
-        a, k = _perm_inv(a), -k
-    out = tuple(range(d))
-    while k:
-        if k & 1:
-            out = _perm_mul(out, a)
-        a = _perm_mul(a, a)
-        k >>= 1
+def _cycles(a: Perm) -> list[list[int]]:
+    """The cycles of a, each listed from its least point in the order a visits."""
+    seen = [False] * len(a)
+    out = []
+    for i in range(len(a)):
+        if not seen[i]:
+            cycle, j = [], i
+            while not seen[j]:
+                seen[j] = True
+                cycle.append(j)
+                j = a[j]
+            out.append(cycle)
     return out
 
 
+def _perm_pow(a: Perm, k: int) -> Perm:
+    """a^k for any integer k in O(d): each point moves k steps along its cycle."""
+    out = [0] * len(a)
+    for cycle in _cycles(a):
+        for i, x in enumerate(cycle):
+            out[x] = cycle[(i + k) % len(cycle)]
+    return tuple(out)
+
+
 def _perm_order(a: Perm) -> int:
-    d = len(a)
-    seen = [False] * d
-    order = 1
-    for i in range(d):
-        if seen[i]:
-            continue
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    return math.lcm(*(len(c) for c in _cycles(a)))
 
 
 def _partitions(d: int):
@@ -107,18 +103,34 @@ def _class_representative(partition: tuple[int, ...]) -> Perm:
     return tuple(out)
 
 
+def _fixes_every_point(factors: list[Perm]) -> bool:
+    """Whether the product of factors, applied in list order, is the
+    identity: follow one point at a time and stop at the first that moves."""
+    for x in range(len(factors[0])):
+        y = x
+        for f in factors:
+            y = f[y]
+        if y != x:
+            return False
+    return True
+
+
 def enumerate_perm_quotients(pres: Presentation, d: int) -> OrderSpectrum:
     """Exhaustive search for relator-satisfying pairs in S_d.
 
     The first generator runs over conjugacy-class representatives only
     (order spectra are conjugation-invariant), the second over all of
-    S_d.  Complete within the degree bound.
+    S_d.  Complete within the degree bound.  Every power a relator needs
+    is computed once per call for each element of S_d and once per
+    representative; a relator is then checked point by point.
     """
     gens = pres.generators
     if len(gens) > 2:
         raise OracleError("use metacyclic oracle or reduce")
     if d > 7:
         raise OracleError("degree bound is 7")
+    if d < 1:
+        raise OracleError(f"degree {d} is below 1")
     achieved: dict[str, set[int]] = {g: set() for g in gens}
     reps = [_class_representative(pt) for pt in _partitions(d)]
     if len(gens) == 1:
@@ -130,21 +142,25 @@ def enumerate_perm_quotients(pres: Presentation, d: int) -> OrderSpectrum:
                 achieved[gens[0]].add(_perm_order(a))
     else:
         first, second = gens
-        everything = [tuple(p) for p in itertools.permutations(range(d))]
+        everything = list(itertools.permutations(range(d)))
+        # a word acts on the left, so its last letter moves a point first
+        words = [rel[::-1] for rel in pres.relators]
+        t_exps = {e for word in words for gen, e in word if gen == second}
+        t_pows = {e: [_perm_pow(t, e) for t in everything] for e in t_exps}
+        hit_t: set[int] = set()  # indices into everything
         for a in reps:
-            for t in everything:
-                assign = {first: a, second: t}
-                ok = True
-                for rel in pres.relators:
-                    acc = tuple(range(d))
-                    for gen, exp in rel:
-                        acc = _perm_mul(acc, _perm_pow(assign[gen], exp))
-                    if acc != tuple(range(d)):
-                        ok = False
+            a_pows = {e: _perm_pow(a, e) for word in words for gen, e in word if gen == first}
+            found = False
+            for i in range(len(everything)):
+                for word in words:
+                    if not _fixes_every_point([a_pows[e] if gen == first else t_pows[e][i] for gen, e in word]):
                         break
-                if ok:
-                    achieved[first].add(_perm_order(a))
-                    achieved[second].add(_perm_order(t))
+                else:
+                    hit_t.add(i)
+                    found = True
+            if found:
+                achieved[first].add(_perm_order(a))
+        achieved[second] = {_perm_order(everything[i]) for i in hit_t}
     return OrderSpectrum(
         family="permutation",
         orders={g: frozenset(o) for g, o in achieved.items()},
@@ -157,43 +173,40 @@ def enumerate_perm_quotients(pres: Presentation, d: int) -> OrderSpectrum:
 # metacyclic search
 
 
-def metacyclic_solutions(n: int, m: int, N: int) -> set[tuple[int, int, int]]:
-    """All (N, x, u) with u a unit mod N and u * (m x) == n x mod N."""
-    out = set()
-    units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
-    for x in range(N):
-        a, b = n * x % N, m * x % N
-        for u in units:
-            if u * b % N == a:
-                out.add((N, x, u % N))
-    return out
+def _solving_units(n: int, m: int, N: int, units: list[int]) -> dict[int, list[int]]:
+    """For each divisor o of N, the units u with u (m x) == n x mod N for
+    the x of additive order o.  With o = N / gcd(x, N) that holds exactly
+    when o divides u m - n, whichever x of that order is taken."""
+    return {o: [u for u in units if (u * m - n) % o == 0] for o in range(1, N + 1) if N % o == 0}
 
 
 def enumerate_metacyclic_quotients(n: int, m: int, N_cap: int) -> OrderSpectrum:
     """Orders achievable in quotients a -> x in C_N, t -> a unit u, over
     all moduli N <= N_cap.  The defining relation a^n = t a^m t^-1
     becomes n x == u (m x) mod N; the recorded order of a is the additive
-    order of x, that of t the multiplicative order of u."""
+    order of x, that of t the multiplicative order of u.
+
+    Every solution (N, x, u) is accounted for, grouped by the order of x
+    (see _solving_units), so each N costs one pass over its divisors and
+    units, not over x.  A unit order is phi(N) stripped of primes.
+    """
     if n == 0 or m == 0:
         raise OracleError("labels must be nonzero")
+    if N_cap < 1:
+        raise OracleError(f"modulus cap {N_cap} is below 1")
+    small_primes = primes_up_to(N_cap)
     a_orders: set[int] = set()
     t_orders: set[int] = set()
     for N in range(1, N_cap + 1):
         units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
-        unit_order = {}
-        for x in range(N):
-            a, b = n * x % N, m * x % N
-            for u in units:
-                if u * b % N == a:
-                    a_orders.add(N // math.gcd(x, N) if x else 1)
-                    u = u % N
-                    if u not in unit_order:
-                        acc, o = u, 1
-                        while acc != 1 % N:
-                            acc = acc * u % N
-                            o += 1
-                        unit_order[u] = o
-                    t_orders.add(unit_order[u])
+        phi = len(units)
+        phi_primes = [q for q in small_primes if phi % q == 0]
+        solved: set[int] = set()
+        for o, solving in _solving_units(n, m, N, units).items():
+            if solving:
+                a_orders.add(o)
+                solved.update(solving)
+        t_orders.update(unit_order(u, N, phi, phi_primes) for u in solved)
     return OrderSpectrum(
         family="metacyclic",
         orders={"a": frozenset(a_orders), "t": frozenset(t_orders)},

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_isocratic, is_prime, nu_p, p_free_part
+from .arith import factorize, is_isocratic, is_prime, nu_p, p_free_part, unit_order
 from .graphs import (
     GbsGraph,
     augmentation_products,
@@ -63,18 +63,6 @@ def hol_pow(x: Element, k: int, modulus: int) -> Element:
     return (out[0] % modulus, out[1] % modulus)
 
 
-def _unit_order(u: int, p: int, l: int) -> int:
-    """Multiplicative order of the unit u mod p^l: phi(p^l) =
-    p^(l-1) (p - 1) with every prime stripped that keeps u's power at one.
-    Only p - 1 is factored."""
-    modulus = p**l
-    r = p ** (l - 1) * (p - 1)
-    for q in [*factorize(p - 1), p]:
-        while r % q == 0 and pow(u, r // q, modulus) == 1:
-            r //= q
-    return r
-
-
 def hol_order(x: Element, modulus: int, p: int) -> int:
     """Order of x = (c, u) in C_N x| Aut(C_N), N = modulus = p^l.
 
@@ -99,7 +87,7 @@ def hol_order(x: Element, modulus: int, p: int) -> int:
     l = nu_p(modulus, p) if is_prime(p) else 0  # p^0 = 1 != modulus fails below
     if p**l != modulus:
         raise QuotientError(f"modulus {modulus} is not a power of the prime {p}")
-    r = _unit_order(u, p, l)
+    r = unit_order(u, modulus, p ** (l - 1) * (p - 1), [*factorize(p - 1), p])
     return r * modulus // math.gcd(hol_pow(x, r, modulus)[0], modulus)
 
 

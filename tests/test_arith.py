@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from gbsep.arith import (
     nu_p,
     p_free_part,
     primes_up_to,
+    unit_order,
 )
 
 
@@ -67,6 +69,45 @@ def test_factorize_reconstructs(x):
     assert math.prod(p**k for p, k in f.items()) == x
     for p in f:
         assert is_prime(p)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_factorize_large_prime_powers_fast(k):
+    p = 2147483659
+    start = time.perf_counter()
+    assert factorize(p**k) == {p: k}
+    assert time.perf_counter() - start < 0.05
+
+
+def test_factorize_mixed_perfect_powers():
+    p, q = 2147483659, 4294967311
+    assert factorize((p * q) ** 6) == {p: 6, q: 6}
+    assert factorize(12 * (p**2 * q**3) ** 2) == {2: 2, 3: 1, p: 4, q: 6}
+
+
+_FACTOR_POOL = [2, 3, 7, 10007, 65537, 1000003, 2147483659, 4294967311]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_FACTOR_POOL), st.integers(1, 7)), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_factorize_matches_sympy(powers, cofactor):
+    sympy = pytest.importorskip("sympy")
+    x = cofactor * math.prod(p**k for p, k in powers)
+    assert factorize(x) == sympy.factorint(x)
+
+
+def test_unit_order_matches_stepping():
+    for N in range(2, 120):
+        units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+        primes = factorize(len(units))
+        for u in units:
+            step, acc = 1, u
+            while acc != 1:
+                acc, step = acc * u % N, step + 1
+            assert unit_order(u, N, len(units), primes) == step
 
 
 def test_is_isocratic_examples():

@@ -108,6 +108,13 @@ def test_oracle_command(capsys):
     assert doc["prediction"]["checks"][0]["sound"] is True
 
 
+@pytest.mark.parametrize("bound", [("--degree", "-1"), ("--degree", "0"), ("--ncap", "0"), ("--ncap", "-3")])
+def test_oracle_bound_below_one_is_input_error(capsys, bound):
+    code, out, err = run(capsys, "oracle", "--bs", "2", "3", *bound, "--json")
+    assert code == 1 and out == ""
+    assert "below 1" in err
+
+
 def test_epsilon_command(tmp_path, capsys):
     f = tmp_path / "cycle.gbs"
     f.write_text(

@@ -1,21 +1,201 @@
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import time
+
+import numpy as np
 import pytest
 
 from gbsep import (
+    Edge,
+    GbsGraph,
     OracleError,
+    OrderSpectrum,
     bs_graph,
     canonical_presentation,
     check_topology_prediction,
     enumerate_metacyclic_quotients,
     enumerate_perm_quotients,
     isocracy_locus,
+    spanning_tree,
 )
-from gbsep.oracle import _partitions, _perm_order, metacyclic_solutions
+from gbsep.arith import factorize
+from gbsep.oracle import _class_representative, _partitions, _perm_order, _solving_units
 
 
 def loop_presentation(n, m):
     return canonical_presentation(bs_graph(n, m), set())
+
+
+def edge_presentation(l0, l1):
+    """Two vertices joined by one edge: generators a_v0, a_v1."""
+    g = GbsGraph(("v0", "v1"), (Edge("e0", "v0", "v1", l0, l1),))
+    return canonical_presentation(g, spanning_tree(g))
+
+
+# -- brute-force references: every candidate composed or tried in full -------
+# Both run the whole candidate set at once as the rows of one array.
+
+
+def _stepped_powers(rows, k):
+    """Each row (a permutation) to the power k, by |k| compositions."""
+    step = rows if k >= 0 else np.argsort(rows, axis=1)
+    out = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    for _ in range(abs(k)):
+        out = np.take_along_axis(step, out, axis=1)
+    return out
+
+
+def reference_perm_spectrum(pres, d):
+    """Every relator composed in full and compared with the identity, for
+    class representatives times all of S_d."""
+    gens = pres.generators
+    everything = np.array(list(itertools.permutations(range(d))))
+    orders = np.array([_perm_order(t) for t in itertools.permutations(range(d))])
+    identity = np.arange(d)
+    achieved = {g: set() for g in gens}
+    for a in [_class_representative(pt) for pt in _partitions(d)]:
+        assign = dict(zip(gens, (np.tile(a, (len(everything), 1)), everything)))
+        ok = np.ones(len(everything), dtype=bool)
+        for rel in pres.relators:
+            acc = np.broadcast_to(identity, everything.shape)
+            for gen, e in rel:
+                acc = np.take_along_axis(acc, _stepped_powers(assign[gen], e), axis=1)
+            ok &= (acc == identity).all(axis=1)
+        if ok.any():
+            achieved[gens[0]].add(_perm_order(a))
+        if len(gens) == 2:
+            achieved[gens[1]] |= set(orders[ok].tolist())
+    return OrderSpectrum("permutation", {g: frozenset(o) for g, o in achieved.items()}, {"degree": d}, True)
+
+
+def metacyclic_solutions(n: int, m: int, N: int) -> set[tuple[int, int, int]]:
+    """All (N, x, u) with u a unit mod N and u * (m x) == n x mod N."""
+    out = set()
+    units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
+    for x in range(N):
+        a, b = n * x % N, m * x % N
+        for u in units:
+            if u * b % N == a:
+                out.add((N, x, u % N))
+    return out
+
+
+@functools.cache
+def _stepped_unit_order(u, N):
+    acc, o = u, 1
+    while acc != 1 % N:
+        acc = acc * u % N
+        o += 1
+    return o
+
+
+def reference_metacyclic_orders(n, m, N_cap):
+    """[(a orders, t orders) of the solutions mod N] for N = 1 .. N_cap:
+    every (x, u) pair tried, as in metacyclic_solutions, and unit orders by
+    stepping."""
+    out = []
+    for N in range(1, N_cap + 1):
+        x = np.arange(N)
+        units = np.array([u for u in range(1, N + 1) if math.gcd(u, N) == 1])
+        solves = (units[:, None] * (m * x % N) - n * x) % N == 0  # rows u, columns x
+        out.append(
+            (
+                {N // math.gcd(int(v), N) for v in x[solves.any(axis=0)]},
+                {_stepped_unit_order(int(u) % N, N) for u in units[solves.any(axis=1)]},
+            )
+        )
+    return out
+
+
+def reference_metacyclic_spectrum(per_modulus, N_cap):
+    a_orders = set().union(*(a for a, _ in per_modulus[:N_cap]))
+    t_orders = set().union(*(t for _, t in per_modulus[:N_cap]))
+    return OrderSpectrum(
+        "metacyclic", {"a": frozenset(a_orders), "t": frozenset(t_orders)}, {"n_cap": N_cap}, True
+    )
+
+
+LABELS = [x for x in range(-8, 13) if x]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_perm_matches_reference_on_bs_grid(d):
+    for n in LABELS:
+        for m in LABELS:
+            pres = loop_presentation(n, m)
+            assert enumerate_perm_quotients(pres, d) == reference_perm_spectrum(pres, d), (n, m)
+
+
+@pytest.mark.parametrize("d", range(3, 6))
+def test_perm_matches_reference_on_tree_edges(d):
+    for l0 in [x for x in range(-6, 7) if x]:
+        for l1 in [x for x in range(-6, 7) if x]:
+            pres = edge_presentation(l0, l1)
+            assert enumerate_perm_quotients(pres, d) == reference_perm_spectrum(pres, d), (l0, l1)
+
+
+def test_perm_matches_reference_at_degree_6():
+    pres = loop_presentation(4, -6)
+    spectrum = enumerate_perm_quotients(pres, 6)
+    assert spectrum == reference_perm_spectrum(pres, 6)
+    assert spectrum.orders["a_v1"] == {1, 2, 5}
+
+
+@pytest.mark.parametrize("n", [x for x in range(-12, 13) if x])
+def test_metacyclic_matches_reference_on_grid(n):
+    for m in [x for x in range(-12, 13) if x]:
+        per_modulus = reference_metacyclic_orders(n, m, 70)
+        for cap in (40, 70):
+            expect = reference_metacyclic_spectrum(per_modulus, cap)
+            assert enumerate_metacyclic_quotients(n, m, cap) == expect, (m, cap)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (4, -6), (-5, 7), (6, 10), (1, 1), (-9, -9)])
+def test_solving_units_match_solutions(n, m):
+    for N in range(1, 61):
+        units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
+        grouped = {(o, u % N) for o, solving in _solving_units(n, m, N, units).items() for u in solving}
+        assert grouped == {(N // math.gcd(x, N), u) for _, x, u in metacyclic_solutions(n, m, N)}, N
+
+
+def _carmichael(N):
+    """The exponent of (Z/N)^x: every divisor of it is a unit order mod N."""
+    out = 1
+    for p, k in factorize(N).items():
+        out = math.lcm(out, 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1))
+    return out
+
+
+def test_perm_degree_7_under_a_second():
+    start = time.perf_counter()
+    spectrum = enumerate_perm_quotients(loop_presentation(11, 12), 7)
+    assert time.perf_counter() - start < 1.0
+    assert spectrum.orders == {"a_v1": {1, 5, 7}, "t_e1": {1, 2, 3, 4, 5, 6, 7, 10, 12}}
+
+
+def test_metacyclic_cap_400_under_a_second():
+    start = time.perf_counter()
+    spectrum = enumerate_metacyclic_quotients(2, 3, 400)
+    assert time.perf_counter() - start < 1.0
+    # x of order o solves the relation for some unit iff gcd(2, o) == gcd(3, o)
+    assert spectrum.orders["a"] == {o for o in range(1, 401) if math.gcd(o, 6) == 1}
+    exponents = {_carmichael(N) for N in range(1, 401)}
+    assert spectrum.orders["t"] == {r for e in exponents for r in range(1, e + 1) if e % r == 0}
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_perm_rejects_degree_below_one(d):
+    with pytest.raises(OracleError, match="below 1"):
+        enumerate_perm_quotients(loop_presentation(2, 3), d)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_metacyclic_rejects_cap_below_one(cap):
+    with pytest.raises(OracleError, match="below 1"):
+        enumerate_metacyclic_quotients(2, 3, cap)
 
 
 def test_partitions_count():
