@@ -27,6 +27,7 @@ from .cohomology import (
     build_leaf_witness,
     cohomology_abstract,
     cohomology_profinite,
+    licensed_topology,
     validate_module,
 )
 from .graphs import (
@@ -102,6 +103,7 @@ __all__ = [
     "is_isocratic",
     "is_prime",
     "isocracy_locus",
+    "licensed_topology",
     "nu_p",
     "p_free_part",
     "parse_graph",

@@ -138,8 +138,6 @@ def factorize(x: int) -> dict[int, int]:
         stack = [(x, 1)]  # (cofactor, multiplicity)
         while stack:
             n, e = stack.pop()
-            if n == 1:
-                continue
             if is_prime(n):
                 out[n] = out.get(n, 0) + e
                 continue
@@ -214,10 +212,6 @@ class PrimeSet:
         if self.kind == "finite":
             return p in self.exceptions
         return p not in self.exceptions
-
-    @property
-    def is_cofinite(self) -> bool:
-        return self.kind == "cofinite"
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 from .arith import _isocracy_split, factorize, is_isocratic, is_prime, nu_p
 from .cohomology import (
     FpModule,
-    _licensed_topology,
     build_isocratic_witness,
     build_leaf_witness,
     cohomology_abstract,
-    cohomology_profinite,
 )
 from .graphs import (
     GbsGraph,
@@ -298,9 +296,7 @@ def self_audit(verdict: Verdict) -> bool:
             if abstract.h2 < c.claims.get("h2_abstract_ge", 0):
                 return False
             if "h2_profinite" in c.claims or "h2_profinite_ge" in c.claims:
-                prof = cohomology_profinite(
-                    c.graph, tree, c.module, _licensed_topology(c.graph, tree)
-                )
+                prof = abstract.on_profinite_side(c.graph, tree)
                 if "h2_profinite" in c.claims and prof.h2 != c.claims["h2_profinite"]:
                     return False
                 if prof.h2 < c.claims.get("h2_profinite_ge", 0):

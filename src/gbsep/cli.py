@@ -18,7 +18,6 @@ from .cohomology import (
     FpModule,
     ModuleError,
     RegimeError,
-    _licensed_topology,
     cohomology_abstract,
     cohomology_profinite,
 )
@@ -96,17 +95,16 @@ def _cmd_cohomology(args) -> int:
     with open(args.module) as fh:
         module = FpModule.from_json(json.load(fh))
     tree = spanning_tree(g)
-    doc = {}
-    if args.side in ("abstract", "both"):
-        doc["abstract"] = cohomology_abstract(g, tree, module).to_json()
-    if args.side in ("profinite", "both"):
-        try:
-            topology = _licensed_topology(g, tree)
-            doc["profinite"] = cohomology_profinite(g, tree, module, topology).to_json()
-        except RegimeError as exc:
-            if args.side == "profinite":
-                raise
-            doc["profinite"] = {"refused": str(exc)}
+    if args.side == "profinite":
+        doc = {"profinite": cohomology_profinite(g, tree, module).to_json()}
+    else:
+        abstract = cohomology_abstract(g, tree, module)
+        doc = {"abstract": abstract.to_json()}
+        if args.side == "both":
+            try:
+                doc["profinite"] = abstract.on_profinite_side(g, tree).to_json()
+            except RegimeError as exc:
+                doc["profinite"] = {"refused": str(exc)}
     _emit(doc, args.json)
     return 0
 

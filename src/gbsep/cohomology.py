@@ -7,14 +7,18 @@ sequence is assembled block-wise from norm elements; its corank in degree
 one computes H^2 of the fundamental group, since the vertex fibres have
 cohomological dimension one.
 
-The profinite variant zeroes every fibre term whose coefficient prime
-falls outside the licensed topology; it refuses regimes the underlying
-theory does not cover.
+Both maps come from one assembly, and the profinite side is derived
+from the abstract report.  When the coefficient prime p lies outside the
+licensed fibre topology, each fibre is pro-prime-to-p: its degree-one
+terms vanish while its fixed space does not, so H^2 is zero and H^0, H^1
+agree with the abstract side, as they do for every finite module (Serre,
+*Galois Cohomology*, I 2.6).  Regimes the underlying theory does not
+cover are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,106 +157,68 @@ def norm_element(a: np.ndarray, exponent: int, p: int) -> np.ndarray:
     return out
 
 
-def _edge_action(g: GbsGraph, m: FpModule, e) -> np.ndarray:
-    """Action of the edge-group generator, via its target-side embedding."""
-    return linalg.mat_pow(m.action(vertex_gen(e.dst)), e.lambda1, m.prime)
+def _fibre(a: np.ndarray, p: int):
+    """Fixed space (basis columns) and coinvariants (proj, lift) of an
+    infinite cyclic fibre acting by ``a``.
+
+    The two come from separate eliminations, and by rank-nullity they
+    have the same dimension; a mismatch raises.
+    """
+    fix = linalg.nullspace((a - linalg.identity(a.shape[0], p)) % p, p)
+    dim, proj, lift = coinvariants(a, p)
+    if fix.shape[1] != dim:
+        raise RuntimeError(
+            "internal error: a fibre's fixed space and coinvariants differ in dimension"
+        )
+    return fix, proj, lift
 
 
-def assemble_hbar(g: GbsGraph, tree: set[str], m: FpModule):
-    """The degree-one Mayer-Vietoris map as a single F_p matrix.
+def assemble_maps(g: GbsGraph, tree: set[str], m: FpModule):
+    """Both Mayer-Vietoris maps from the vertex fibres to the edge fibres,
+    built in one pass over the edges.
 
-    Block (e, v) of the map from the direct sum of vertex coinvariant
-    spaces to the direct sum of edge coinvariant spaces is
+    Degree zero runs between fixed spaces, degree one between coinvariant
+    spaces.  Edge e writes only its blocks at dst(e) and src(e):
 
-        + N(a_dst, lambda1)            if v = dst(e)
-        - T_e . N(a_src, lambda0)      if v = src(e)
+        degree 0:  + inclusion            at dst,   - T_e                     at src
+        degree 1:  + N(a_dst, lambda1)    at dst,   - T_e . N(a_src, lambda0) at src
 
-    projected into the edge quotient; T_e is the stable-letter action
-    (identity on tree edges) and a loop contributes both terms to the
-    same block.  With all relevant actions trivial on the quotients this
-    degenerates to the scalar matrix with entries -+i0 and +-i1.
+    each expressed in the edge fibre's coordinates; T_e is the
+    stable-letter action (identity on tree edges) and a loop adds both
+    terms into one block.  With all relevant actions trivial the
+    degree-one map is the scalar matrix with entries -+i0 and +-i1.
 
-    Returns (matrix, vertex_data, edge_data) where the data lists hold
-    (name, dim, proj, lift) per fibre in graph order.
+    Returns (h0map, hbar, vertex_dims, edge_dims); a fibre's fixed space
+    and coinvariants have the same dimension, so one list per side gives
+    the blocks of both maps, in graph order.
     """
     p = m.prime
-    pres = canonical_presentation(g, tree)
-    validate_module(m, pres)
-    vdata = []
-    for v in g.vertices:
-        a = m.action(vertex_gen(v))
-        dim, proj, lift = coinvariants(a, p)
-        vdata.append((v, dim, proj, lift))
-    edata = []
-    for e in g.edges:
-        b = _edge_action(g, m, e)
-        dim, proj, lift = coinvariants(b, p)
-        edata.append((e.id, dim, proj, lift))
-    rows = sum(d for _, d, _, _ in edata)
-    cols = sum(d for _, d, _, _ in vdata)
-    hbar = np.zeros((rows, cols), dtype=np.int64)
-    r0 = 0
-    for e, (_, edim, eproj, _) in zip(g.edges, edata):
-        t_mat = (
-            linalg.identity(m.dim, p)
-            if e.id in tree
-            else m.action(stable_letter(e.id))
-        )
-        c0 = 0
-        for v, (_, vdim, _, vlift) in zip(g.vertices, vdata):
-            block = np.zeros((m.dim, m.dim), dtype=np.int64)
-            if v == e.dst:
-                block = (block + norm_element(m.action(vertex_gen(e.dst)), e.lambda1, p)) % p
-            if v == e.src:
-                neg = t_mat @ norm_element(m.action(vertex_gen(e.src)), e.lambda0, p) % p
-                block = (block - neg) % p
-            if block.any():
-                hbar[r0 : r0 + edim, c0 : c0 + vdim] = eproj @ block @ vlift % p
-            c0 += vdim
-        r0 += edim
-    return hbar, vdata, edata
-
-
-def _assemble_degree_zero(g: GbsGraph, tree: set[str], m: FpModule):
-    """Fixed-space restriction map in degree zero, plus fibre dimensions."""
-    p = m.prime
-    vfix = []
-    for v in g.vertices:
-        k = linalg.nullspace(
-            (m.action(vertex_gen(v)) - linalg.identity(m.dim, p)) % p, p
-        )
-        vfix.append((v, k))
-    efix = []
-    for e in g.edges:
-        k = linalg.nullspace((_edge_action(g, m, e) - linalg.identity(m.dim, p)) % p, p)
-        efix.append((e.id, k))
-    rows = sum(k.shape[1] for _, k in efix)
-    cols = sum(k.shape[1] for _, k in vfix)
-    h0map = np.zeros((rows, cols), dtype=np.int64)
-    r0 = 0
-    for e, (_, ek) in zip(g.edges, efix):
-        t_mat = (
-            linalg.identity(m.dim, p)
-            if e.id in tree
-            else m.action(stable_letter(e.id))
-        )
-        c0 = 0
-        for v, (_, vk) in zip(g.vertices, vfix):
-            block = np.zeros((m.dim, vk.shape[1]), dtype=np.int64)
-            if v == e.dst:
-                block = (block + vk) % p
-            if v == e.src:
-                block = (block - t_mat @ vk) % p
-            if block.any():
+    validate_module(m, canonical_presentation(g, tree))
+    act = {v: m.action(vertex_gen(v)) for v in g.vertices}
+    vert = {v: _fibre(act[v], p) for v in g.vertices}
+    edge = [_fibre(linalg.mat_pow(act[e.dst], e.lambda1, p), p) for e in g.edges]
+    vdims = [vert[v][0].shape[1] for v in g.vertices]
+    edims = [fix.shape[1] for fix, _, _ in edge]
+    col = dict(zip(g.vertices, np.cumsum([0] + vdims).tolist()))
+    h0map = np.zeros((sum(edims), sum(vdims)), dtype=np.int64)
+    hbar = np.zeros_like(h0map)
+    r = 0
+    for e, (efix, eproj, _), k in zip(g.edges, edge, edims):
+        t = linalg.identity(m.dim, p) if e.id in tree else m.action(stable_letter(e.id))
+        zero = {e.dst: vert[e.dst][0]}
+        one = {e.dst: norm_element(act[e.dst], e.lambda1, p)}
+        zero[e.src] = (zero.get(e.src, 0) - t @ vert[e.src][0]) % p
+        one[e.src] = (one.get(e.src, 0) - t @ norm_element(act[e.src], e.lambda0, p)) % p
+        for v in zero:
+            vfix, _, vlift = vert[v]
+            span = slice(col[v], col[v] + vfix.shape[1])
+            if zero[v].any():
                 # the value lies in the edge fixed space; express it there
-                h0map[r0 : r0 + ek.shape[1], c0 : c0 + vk.shape[1]] = linalg.solve(
-                    ek, block, p
-                )
-            c0 += vk.shape[1]
-        r0 += ek.shape[1]
-    vdims = [k.shape[1] for _, k in vfix]
-    edims = [k.shape[1] for _, k in efix]
-    return h0map, vdims, edims
+                h0map[r : r + k, span] = linalg.solve(efix, zero[v], p)
+            if one[v].any():
+                hbar[r : r + k, span] = eproj @ one[v] @ vlift % p
+        r += k
+    return h0map, hbar, vdims, edims
 
 
 @dataclass(frozen=True)
@@ -267,12 +233,34 @@ class CohomologyReport:
     edge_h0: tuple[int, ...]
     edge_h1: tuple[int, ...]
 
-    def euler_consistent(self) -> bool:
-        lhs = self.h0 - self.h1 + self.h2
-        rhs = sum(a - b for a, b in zip(self.vertex_h0, self.vertex_h1)) - sum(
-            a - b for a, b in zip(self.edge_h0, self.edge_h1)
+    def on_profinite_side(self, g: GbsGraph, tree: set[str]) -> "CohomologyReport":
+        """The profinite report for the graph this abstract report was
+        computed on, derived without new elimination under the fibre
+        topology L = ``licensed_topology(g, tree)``.
+
+        For the module's prime p in L every term agrees.  Outside it each
+        fibre is pro-prime-to-p, so only the degree-one fibre terms vanish:
+        h2 = 0, the degree-zero rank r0 = sum(vertex_h0) - h0 stays, and
+        h1 = sum(edge_h0) - r0.  Degrees 0 and 1 then agree with the
+        abstract side, as they must for every finite module (Serre,
+        *Galois Cohomology*, I 2.6).
+        """
+        if self.side != "abstract":
+            raise ValueError("the profinite report is derived from an abstract one")
+        topology = licensed_topology(g, tree)
+        (p,) = self.prime_support.exceptions
+        if p in topology:
+            return replace(self, side="profinite", prime_support=topology)
+        r0 = sum(self.vertex_h0) - self.h0
+        return replace(
+            self,
+            h1=sum(self.edge_h0) - r0,
+            h2=0,
+            side="profinite",
+            prime_support=topology,
+            vertex_h1=(0,) * len(self.vertex_h1),
+            edge_h1=(0,) * len(self.edge_h1),
         )
-        return lhs == rhs
 
     def to_json(self) -> dict:
         return {
@@ -291,33 +279,30 @@ def cohomology_abstract(g: GbsGraph, tree: set[str], m: FpModule) -> CohomologyR
     there as every fibre has cohomological dimension one); H^1 combines
     the kernel of that map with the cokernel of the degree-zero map.
     """
-    hbar, vdata, edata = assemble_hbar(g, tree, m)
-    h0map, v0dims, e0dims = _assemble_degree_zero(g, tree, m)
-    r1 = linalg.rank(hbar, m.prime)
+    h0map, hbar, vdims, edims = assemble_maps(g, tree, m)
     r0 = linalg.rank(h0map, m.prime)
-    v1dims = [d for _, d, _, _ in vdata]
-    e1dims = [d for _, d, _, _ in edata]
-    h2 = sum(e1dims) - r1
-    h1 = (sum(v1dims) - r1) + (sum(e0dims) - r0)
-    h0 = sum(v0dims) - r0
-    report = CohomologyReport(
-        h0,
-        h1,
-        h2,
+    r1 = linalg.rank(hbar, m.prime)
+    v, e = tuple(vdims), tuple(edims)
+    return CohomologyReport(
+        sum(v) - r0,
+        (sum(v) - r1) + (sum(e) - r0),
+        sum(e) - r1,
         "abstract",
         PrimeSet.finite([m.prime]),
-        tuple(v0dims),
-        tuple(v1dims),
-        tuple(e0dims),
-        tuple(e1dims),
+        v,
+        v,
+        e,
+        e,
     )
-    if not report.euler_consistent():
-        raise RuntimeError("internal error: cohomology report fails the Euler characteristic check")
-    return report
 
 
-def _licensed_topology(g: GbsGraph, tree: set[str]) -> PrimeSet:
-    """The fibre topology the theory pins down for this graph, or raise."""
+def licensed_topology(g: GbsGraph, tree: set[str]) -> PrimeSet:
+    """The fibre topology the theory pins down for this graph, or raise
+    RegimeError.
+
+    Regime (i): balanced graph, full profinite topology on all fibres.
+    Regime (ii): single isocratic cycle, full pro-isocracy topology.
+    """
     _, balanced, _ = balance_potential(g, tree, g.vertices[0])
     if balanced:
         return PrimeSet.all_primes()
@@ -332,43 +317,11 @@ def _licensed_topology(g: GbsGraph, tree: set[str]) -> PrimeSet:
     )
 
 
-def cohomology_profinite(
-    g: GbsGraph, tree: set[str], m: FpModule, topology: PrimeSet
-) -> CohomologyReport:
-    """Profinite-side cohomology in the two licensed regimes.
-
-    Regime (i): balanced graph, full profinite topology on all fibres.
-    Regime (ii): single isocratic cycle, full pro-isocracy topology.
-    Outside these, raise rather than guess.  Every fibre term whose
-    coefficient prime lies outside the topology is replaced by zero
-    before assembling the maps.
-    """
-    licensed = _licensed_topology(g, tree)
-    if topology != licensed:
-        raise RegimeError(
-            f"regime not covered: requested topology {topology} but the "
-            f"licensed fibre topology is {licensed}"
-        )
-    if m.prime in topology:
-        abstract = cohomology_abstract(g, tree, m)
-        return CohomologyReport(
-            abstract.h0,
-            abstract.h1,
-            abstract.h2,
-            "profinite",
-            topology,
-            abstract.vertex_h0,
-            abstract.vertex_h1,
-            abstract.edge_h0,
-            abstract.edge_h1,
-        )
-    # coefficient order coprime to every fibre: all fibre terms vanish
-    pres = canonical_presentation(g, tree)
-    validate_module(m, pres)
-    nv, ne = len(g.vertices), len(g.edges)
-    return CohomologyReport(
-        0, 0, 0, "profinite", topology, (0,) * nv, (0,) * nv, (0,) * ne, (0,) * ne
-    )
+def cohomology_profinite(g: GbsGraph, tree: set[str], m: FpModule) -> CohomologyReport:
+    """Profinite-side cohomology in the two licensed regimes of
+    ``licensed_topology``; outside them, raise rather than guess."""
+    licensed_topology(g, tree)  # refuse before any elimination
+    return cohomology_abstract(g, tree, m).on_profinite_side(g, tree)
 
 
 def _cyclic_permutation(d: int, p: int) -> np.ndarray:

@@ -120,26 +120,3 @@ def mat_pow(a, k: int, p: int) -> np.ndarray:
         k >>= 1
     return out
 
-
-def det_int(a) -> int:
-    """Exact integer determinant via fraction-free Gaussian elimination."""
-    m = [[int(x) for x in row] for row in np.asarray(a)]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

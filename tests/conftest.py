@@ -45,6 +45,39 @@ def random_graph(rng: random.Random, max_vertices=6, max_label=9, extra_edges=3)
     return GbsGraph(tuple(verts), tuple(edges))
 
 
+def det_int(a) -> int:
+    """Exact integer determinant via fraction-free Gaussian elimination."""
+    m = [[int(x) for x in row] for row in a]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def euler_consistent(rep) -> bool:
+    """h0 - h1 + h2 equals the alternating sum of a report's fibre terms."""
+    lhs = rep.h0 - rep.h1 + rep.h2
+    rhs = sum(a - b for a, b in zip(rep.vertex_h0, rep.vertex_h1)) - sum(
+        a - b for a, b in zip(rep.edge_h0, rep.edge_h1)
+    )
+    return lhs == rhs
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED5)

@@ -122,7 +122,7 @@ def test_is_isocratic_examples():
 
 def test_isocracy_locus_examples():
     loc = isocracy_locus(2, 3)
-    assert loc.is_cofinite and loc.exceptions == (2, 3)
+    assert loc.kind == "cofinite" and loc.exceptions == (2, 3)
     loc = isocracy_locus(6, 10)
     assert loc.exceptions == (3, 5)
     assert 2 in loc and 7 in loc and 3 not in loc and 5 not in loc
@@ -153,7 +153,7 @@ def test_primeset_membership_and_json():
 
 def test_all_primes():
     assert 97 in PrimeSet.all_primes()
-    assert PrimeSet.all_primes().is_cofinite
+    assert PrimeSet.all_primes().kind == "cofinite"
 
 
 # small primes, and two above 2**31 that Pollard rho must find in

