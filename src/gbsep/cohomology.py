@@ -19,8 +19,7 @@ cover are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
+from itertools import accumulate
 
 from . import linalg
 from .arith import PrimeSet, is_isocratic, is_prime, isocracy_locus, nu_p
@@ -52,7 +51,8 @@ class RegimeError(RuntimeError):
 class FpModule:
     """A finite-dimensional F_p vector space with an action of each
     presentation generator by an invertible matrix.  Generators absent
-    from ``actions`` act as the identity."""
+    from ``actions`` act as the identity.  Actions may be given as nested
+    rows of integers; they are stored as sparse ``linalg.Matrix`` values."""
 
     prime: int
     dim: int
@@ -63,31 +63,34 @@ class FpModule:
             raise ModuleError(f"{self.prime} is not prime")
         norm = {}
         for gen, mat in self.actions.items():
-            a = linalg.mod(mat, self.prime)
-            if a.shape != (self.dim, self.dim):
+            try:
+                a = linalg.matrix(mat, self.prime)
+            except ValueError:
+                a = None
+            if a is None or a.shape != (self.dim, self.dim):
                 raise ModuleError(f"action of {gen} has wrong shape")
             if linalg.rank(a, self.prime) != self.dim:
                 raise ModuleError(f"action of {gen} is singular mod {self.prime}")
             norm[gen] = a
         object.__setattr__(self, "actions", norm)
 
-    def action(self, gen: str) -> np.ndarray:
+    def action(self, gen: str) -> linalg.Matrix:
         mat = self.actions.get(gen)
         if mat is None:
-            return linalg.identity(self.dim, self.prime)
+            return linalg.identity(self.dim)
         return mat
 
-    def word_action(self, word) -> np.ndarray:
-        out = linalg.identity(self.dim, self.prime)
+    def word_action(self, word) -> linalg.Matrix:
+        out = linalg.identity(self.dim)
         for gen, exp in word:
-            out = out @ linalg.mat_pow(self.action(gen), exp, self.prime) % self.prime
+            out = linalg.mul(out, linalg.mat_pow(self.action(gen), exp, self.prime), self.prime)
         return out
 
     def to_json(self) -> dict:
         return {
             "prime": self.prime,
             "dim": self.dim,
-            "actions": {g: [[int(x) for x in row] for row in m] for g, m in self.actions.items()},
+            "actions": {g: m.tolist() for g, m in self.actions.items()},
         }
 
     @classmethod
@@ -101,72 +104,78 @@ def validate_module(m: FpModule, pres: Presentation) -> None:
     for gen in m.actions:
         if gen not in pres.generators:
             raise ModuleError(f"unknown generator {gen!r}")
-    eye = linalg.identity(m.dim, m.prime)
+    eye = linalg.identity(m.dim)
     for rel in pres.relators:
-        if not np.array_equal(m.word_action(rel), eye):
+        if m.word_action(rel) != eye:
             word = " ".join(f"{g}^{e}" for g, e in rel)
             raise ModuleError(f"relator not satisfied by module action: {word}")
 
 
-def coinvariants(omega: np.ndarray, p: int):
+def coinvariants(omega: linalg.Matrix, p: int):
     """Quotient M/(omega - 1)M by explicit complement basis.
 
     Returns (dim, proj, lift): ``proj`` maps M onto quotient coordinates,
     ``lift`` embeds them back as representatives; proj @ lift = identity.
-    Pivots are chosen lowest-index-first for reproducibility.
+    The coordinates are the free columns of the reduced echelon form of
+    the image of omega - 1, lowest index first.
     """
-    d = omega.shape[0]
-    diff = (omega - linalg.identity(d, p)) % p
+    d = omega.cols
     # row-reduce the transpose: rows span the image of (omega - 1)
-    R, pivots = linalg.rref(diff.T, p)
-    free = [c for c in range(d) if c not in pivots]
-    # reduce each standard vector modulo the image, then read off the
-    # free coordinates
-    proj_full = linalg.identity(d, p)
+    R, pivots = linalg.rref(linalg.transpose(linalg.add(omega, linalg.identity(d), p, -1)), p)
+    taken = set(pivots)
+    free = [c for c in range(d) if c not in taken]
+    index = {f: k for k, f in enumerate(free)}
+    # e_f reduces to itself; e_c for a pivot c reduces to e_c - R[c's row]
+    proj = linalg.zeros(len(free), d)
+    for f, k in index.items():
+        proj.rows[k][f] = 1
     for r, c in enumerate(pivots):
-        proj_full = (proj_full - np.outer(proj_full[:, c], R[r])) % p
-    proj = proj_full.T[free, :] % p if free else np.zeros((0, d), dtype=np.int64)
-    lift = np.zeros((d, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        lift[c, k] = 1
+        for f, x in R.rows[r].items():
+            if f != c:
+                proj.rows[index[f]][c] = -x % p
+    lift = linalg.zeros(d, len(free))
+    for f, k in index.items():
+        lift.rows[f] = {k: 1}
     return len(free), proj, lift
 
 
-def norm_element(a: np.ndarray, exponent: int, p: int) -> np.ndarray:
-    """The operator N with N(a - 1) = a^exponent - 1.
+def norm_element(a: linalg.Matrix, exponent: int, p: int, x: linalg.Matrix):
+    """(a^exponent, N x) for the operator N with N(a - 1) = a^exponent - 1.
 
-    For exponent k > 0 this is 1 + a + ... + a^(k-1); for k < 0 it is
-    -(a^k + ... + a^-1) = -a^k * N_|k|.  N_|k| is built by doubling over
+    For exponent k > 0, N is 1 + a + ... + a^(k-1); for k < 0 it is
+    -(a^k + ... + a^-1) = -a^k * N_|k|.  N_|k| x is built by doubling over
     the bits of |k|, from N_2j = N_j (1 + a^j) and N_(j+1) = 1 + a N_j,
-    so it costs O(log |k|) matrix products, not |k|.
+    applied to the columns of x only; the powers a^j it needs end at
+    a^|k|, so the power comes with the norm.  It costs O(log |k|) matrix
+    products, not |k|, and never forms the d x d norm unless x is the
+    identity.
     """
     if exponent == 0:
         raise ValueError("norm element undefined for exponent 0")
-    one = linalg.identity(a.shape[0], p)
-    a = linalg.mod(a, p)
-    out = np.zeros_like(one)  # N_j
-    power = one  # a^j
+    power = linalg.identity(a.cols)  # a^j
+    out = linalg.zeros(*x.shape)  # N_j x
     for bit in bin(abs(exponent))[2:]:
-        out = (out + power @ out) % p
-        power = power @ power % p
+        out = linalg.add(out, linalg.mul(power, out, p), p)
+        power = linalg.mul(power, power, p)
         if bit == "1":
-            out = (one + a @ out) % p
-            power = power @ a % p
+            out = linalg.add(x, linalg.mul(a, out, p), p)
+            power = linalg.mul(power, a, p)
     if exponent < 0:
-        out = (-linalg.mat_pow(a, exponent, p) @ out) % p
-    return out
+        power = linalg.inverse(power, p)
+        out = linalg.add(linalg.zeros(*x.shape), linalg.mul(power, out, p), p, -1)
+    return power, out
 
 
-def _fibre(a: np.ndarray, p: int):
+def _fibre(a: linalg.Matrix, p: int):
     """Fixed space (basis columns) and coinvariants (proj, lift) of an
     infinite cyclic fibre acting by ``a``.
 
     The two come from separate eliminations, and by rank-nullity they
     have the same dimension; a mismatch raises.
     """
-    fix = linalg.nullspace((a - linalg.identity(a.shape[0], p)) % p, p)
+    fix = linalg.nullspace(linalg.add(a, linalg.identity(a.cols), p, -1), p)
     dim, proj, lift = coinvariants(a, p)
-    if fix.shape[1] != dim:
+    if fix.cols != dim:
         raise RuntimeError(
             "internal error: a fibre's fixed space and coinvariants differ in dimension"
         )
@@ -185,40 +194,56 @@ def assemble_maps(g: GbsGraph, tree: set[str], m: FpModule):
 
     each expressed in the edge fibre's coordinates; T_e is the
     stable-letter action (identity on tree edges) and a loop adds both
-    terms into one block.  With all relevant actions trivial the
+    terms into one block.  The norms are applied to the vertex lift
+    columns only, and the edge action a_dst^lambda1 comes from the same
+    doubling as N(a_dst, lambda1).  With all relevant actions trivial the
     degree-one map is the scalar matrix with entries -+i0 and +-i1.
 
-    Returns (h0map, hbar, vertex_dims, edge_dims); a fibre's fixed space
-    and coinvariants have the same dimension, so one list per side gives
-    the blocks of both maps, in graph order.
+    Returns (h0map, hbar, vertex_dims, edge_dims) with the maps as sparse
+    ``linalg.Matrix`` values; a fibre's fixed space and coinvariants have
+    the same dimension, so one list per side gives the blocks of both
+    maps, in graph order.
     """
     p = m.prime
     validate_module(m, canonical_presentation(g, tree))
     act = {v: m.action(vertex_gen(v)) for v in g.vertices}
     vert = {v: _fibre(act[v], p) for v in g.vertices}
-    edge = [_fibre(linalg.mat_pow(act[e.dst], e.lambda1, p), p) for e in g.edges]
-    vdims = [vert[v][0].shape[1] for v in g.vertices]
-    edims = [fix.shape[1] for fix, _, _ in edge]
-    col = dict(zip(g.vertices, np.cumsum([0] + vdims).tolist()))
-    h0map = np.zeros((sum(edims), sum(vdims)), dtype=np.int64)
-    hbar = np.zeros_like(h0map)
-    r = 0
-    for e, (efix, eproj, _), k in zip(g.edges, edge, edims):
-        t = linalg.identity(m.dim, p) if e.id in tree else m.action(stable_letter(e.id))
+    vdims = [vert[v][0].cols for v in g.vertices]
+    col = dict(zip(g.vertices, accumulate([0] + vdims)))
+    h0rows: list[dict[int, int]] = []
+    hbar_rows: list[dict[int, int]] = []
+    edims = []
+    for e in g.edges:
+        t = None if e.id in tree else m.action(stable_letter(e.id))
+        action, dst_norm = norm_element(act[e.dst], e.lambda1, p, vert[e.dst][2])
+        efix, eproj, _ = _fibre(action, p)
+        _, src_norm = norm_element(act[e.src], e.lambda0, p, vert[e.src][2])
+        src_fix = vert[e.src][0]
+        if t is not None:
+            src_fix, src_norm = linalg.mul(t, src_fix, p), linalg.mul(t, src_norm, p)
         zero = {e.dst: vert[e.dst][0]}
-        one = {e.dst: norm_element(act[e.dst], e.lambda1, p)}
-        zero[e.src] = (zero.get(e.src, 0) - t @ vert[e.src][0]) % p
-        one[e.src] = (one.get(e.src, 0) - t @ norm_element(act[e.src], e.lambda0, p)) % p
+        one = {e.dst: dst_norm}
+        zero[e.src] = linalg.add(zero.get(e.src, linalg.zeros(*src_fix.shape)), src_fix, p, -1)
+        one[e.src] = linalg.add(one.get(e.src, linalg.zeros(*src_norm.shape)), src_norm, p, -1)
+        k = efix.cols
+        h0block = [{} for _ in range(k)]
+        hbar_block = [{} for _ in range(k)]
         for v in zero:
-            vfix, _, vlift = vert[v]
-            span = slice(col[v], col[v] + vfix.shape[1])
-            if zero[v].any():
+            if any(zero[v].rows):
                 # the value lies in the edge fixed space; express it there
-                h0map[r : r + k, span] = linalg.solve(efix, zero[v], p)
-            if one[v].any():
-                hbar[r : r + k, span] = eproj @ one[v] @ vlift % p
-        r += k
-    return h0map, hbar, vdims, edims
+                _write(h0block, linalg.solve(efix, zero[v], p), col[v])
+            if any(one[v].rows):
+                _write(hbar_block, linalg.mul(eproj, one[v], p), col[v])
+        h0rows += h0block
+        hbar_rows += hbar_block
+        edims.append(k)
+    cols = sum(vdims)
+    return linalg.Matrix(h0rows, cols), linalg.Matrix(hbar_rows, cols), vdims, edims
+
+
+def _write(rows: list[dict[int, int]], block: linalg.Matrix, offset: int) -> None:
+    for row, part in zip(rows, block.rows):
+        row.update((offset + j, x) for j, x in part.items())
 
 
 @dataclass(frozen=True)
@@ -324,11 +349,9 @@ def cohomology_profinite(g: GbsGraph, tree: set[str], m: FpModule) -> Cohomology
     return cohomology_abstract(g, tree, m).on_profinite_side(g, tree)
 
 
-def _cyclic_permutation(d: int, p: int) -> np.ndarray:
-    perm = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        perm[(i + 1) % d, i] = 1
-    return perm % p
+def _cyclic_permutation(d: int) -> linalg.Matrix:
+    """The d-cycle sending basis vector i to i + 1 mod d."""
+    return linalg.Matrix([{(i - 1) % d: 1} for i in range(d)], d)
 
 
 def build_isocratic_witness(g: GbsGraph, p: int, q: int) -> FpModule:
@@ -392,7 +415,7 @@ def build_isocratic_witness(g: GbsGraph, p: int, q: int) -> FpModule:
             else:
                 exponent[y] = pow(e.lambda0 % q, -1, q) * e.lambda1 * exponent[e.dst] % q
             todo.discard(y)
-    alpha = _cyclic_permutation(q, p)
+    alpha = _cyclic_permutation(q)
     actions = {}
     for v in g.vertices:
         if exponent[v]:
@@ -431,6 +454,6 @@ def build_leaf_witness(g: GbsGraph, q: int) -> FpModule:
             raise ValueError("leaf edge has index 1; reduce the graph first")
         raise ValueError("graph has no leaf")
     v, d = leaf
-    module = FpModule(q, d, {vertex_gen(v): _cyclic_permutation(d, q)})
+    module = FpModule(q, d, {vertex_gen(v): _cyclic_permutation(d)})
     validate_module(module, canonical_presentation(g, spanning_tree(g)))
     return module

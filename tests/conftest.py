@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from gbsep import Edge, GbsGraph
+from gbsep import (
+    Edge,
+    GbsGraph,
+    bs_graph,
+    build_isocratic_witness,
+    factorize,
+    is_isocratic,
+    linalg,
+    subdivide_loops,
+)
 
 
 def theta_graph(labels):
@@ -43,6 +54,32 @@ def random_graph(rng: random.Random, max_vertices=6, max_label=9, extra_edges=3)
         a, b = rng.choice(verts), rng.choice(verts)
         edges.append(Edge(f"e{len(edges)}", a, b, lab(), lab()))
     return GbsGraph(tuple(verts), tuple(edges))
+
+
+def witness_cases(bound: int):
+    """Both isocratic witnesses of BS(n, m) for the isocratic, non-coprime,
+    unequal pairs with 2 <= n, m < bound, then the reversed-edge two-cycle
+    and the two-cycle that forces exponent transport."""
+    cases = []
+    for n in range(2, bound):
+        for m in range(2, bound):
+            g_nm = math.gcd(n, m)
+            if n == m or g_nm == 1 or not is_isocratic(n, m):
+                continue
+            g = subdivide_loops(bs_graph(n, m))
+            q = min(factorize(g_nm))
+            p = min(factorize(n * m // g_nm // g_nm))
+            cases += [(g, build_isocratic_witness(g, p, q)), (g, build_isocratic_witness(g, q, q))]
+    g = GbsGraph(("v0", "v1"), (Edge("e1", "v1", "v0", 1, 10), Edge("e2", "v1", "v0", 1, 6)))
+    cases.append((g, build_isocratic_witness(g, 3, 2)))
+    g = cycle_graph([(2, 7), (3, 3)])
+    cases.append((g, build_isocratic_witness(g, 7, 3)))
+    return cases
+
+
+def dense(m: linalg.Matrix) -> np.ndarray:
+    """A linalg.Matrix as an exact numpy array of Python ints."""
+    return np.array(m.tolist(), dtype=object).reshape(m.shape)
 
 
 def det_int(a) -> int:

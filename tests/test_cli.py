@@ -70,6 +70,12 @@ def test_quotient_command(capsys):
     assert doc["images"]["a_v1"] == [1, 1]
 
 
+def test_quotient_default_exponent_is_one(capsys):
+    code, out, _ = run(capsys, "quotient", "--bs", "2", "3", "-p", "5", "--vertex", "v1", "--json")
+    assert code == 0
+    assert json.loads(out)["modulus"] == 5
+
+
 def test_quotient_large_prime_cube(capsys):
     code, out, _ = run(
         capsys, "quotient", "--bs", "2", "3", "-p", "1009", "-k", "3", "--vertex", "v1", "--json"

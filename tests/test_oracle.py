@@ -198,6 +198,13 @@ def test_metacyclic_rejects_cap_below_one(cap):
         enumerate_metacyclic_quotients(2, 3, cap)
 
 
+@pytest.mark.parametrize("n, m", [(0, 3), (2, 0)])
+def test_metacyclic_rejects_one_zero_label(n, m):
+    # either zero label is refused, not only both
+    with pytest.raises(OracleError, match="nonzero"):
+        enumerate_metacyclic_quotients(n, m, 10)
+
+
 def test_partitions_count():
     # partition numbers p(1..7) = 1, 2, 3, 5, 7, 11, 15
     for d, expect in zip(range(1, 8), (1, 2, 3, 5, 7, 11, 15)):
