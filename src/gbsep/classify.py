@@ -35,9 +35,10 @@ from .graphs import (
 )
 from .quotients import (
     QuotientCert,
-    construct_balanced_quotient,
+    construct_balanced_quotients,
     construct_cycle_quotient,
     construct_nonisocratic_p_quotient,
+    target_failure,
     verify_cert,
 )
 
@@ -226,10 +227,8 @@ def _classify_general(r: GbsGraph) -> Verdict:
     if balanced:
         work = subdivide_loops(r)
         certs = tuple(
-            Certificate(
-                "quotient", work, cert=construct_balanced_quotient(work, v, 2, 1)
-            )
-            for v in work.vertices
+            Certificate("quotient", work, cert=cert)
+            for cert in construct_balanced_quotients(work, 2, 1)
         )
         return Verdict(
             separable=True,
@@ -284,11 +283,29 @@ def _classify_general(r: GbsGraph) -> Verdict:
 
 
 def self_audit(verdict: Verdict) -> bool:
-    """Re-verify every attached certificate; True iff all of them pass."""
+    """Re-verify every attached certificate; True iff all of them pass.
+
+    Quotient certificates with the same content (graph, tree, modulus,
+    prime, images, claimed orders and epsilon: everything verify_cert
+    reads but the target) share one verify_cert report, and each one's
+    own target claim is checked against that report.  So the per-vertex
+    certificates of a Balanced verdict cost one verification per distinct
+    modulus, and comparing a certificate that shares its fields with an
+    earlier one costs no walk over them.
+    """
+    reports: dict[tuple[int, int], list] = {}
     for c in verdict.certificates:
         if c.kind == "quotient":
-            report = verify_cert(c.graph, set(c.cert.tree), c.cert)
+            q = c.cert
+            content = (c.graph, q.tree, q.images, q.claimed_orders, q.epsilon)
+            seen = reports.setdefault((q.modulus, q.prime), [])
+            report = next((r for key, r in seen if key == content), None)
+            if report is None:
+                report = verify_cert(c.graph, set(q.tree), q)
+                seen.append((content, report))
             if not report["valid"] or not report["order_formula_ok"]:
+                return False
+            if target_failure(c.graph, q, report["orders"]) is not None:
                 return False
         elif c.kind == "module":
             tree = spanning_tree(c.graph)

@@ -31,6 +31,11 @@ class OracleError(ValueError):
     pass
 
 
+# The metacyclic search grows about as the cap squared: a few seconds at
+# 2,000, so a larger cap is refused rather than left to run for hours.
+MAX_N_CAP = 2000
+
+
 @dataclass(frozen=True)
 class OrderSpectrum:
     """Achieved image orders per generator for an exhaustive search."""
@@ -189,11 +194,14 @@ def enumerate_metacyclic_quotients(n: int, m: int, N_cap: int) -> OrderSpectrum:
     Every solution (N, x, u) is accounted for, grouped by the order of x
     (see _solving_units), so each N costs one pass over its divisors and
     units, not over x.  A unit order is phi(N) stripped of primes.
+    Refuses a cap below 1 or above MAX_N_CAP.
     """
     if n == 0 or m == 0:
         raise OracleError("labels must be nonzero")
     if N_cap < 1:
         raise OracleError(f"modulus cap {N_cap} is below 1")
+    if N_cap > MAX_N_CAP:
+        raise OracleError(f"modulus cap {N_cap} is above {MAX_N_CAP}")
     small_primes = primes_up_to(N_cap)
     a_orders: set[int] = set()
     t_orders: set[int] = set()

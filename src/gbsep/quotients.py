@@ -11,7 +11,7 @@ trusting the construction that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import factorize, is_isocratic, is_prime, nu_p, p_free_part, unit_order
 from .graphs import (
@@ -247,7 +247,10 @@ def construct_cycle_quotient(
     if nu_p(n, p) != nu_p(m, p):
         raise QuotientError(f"{p} is not in the isocracy locus of ({n}, {m})")
     if target_edge is not None:
-        e = g.edge(target_edge)
+        try:
+            e = g.edge(target_edge)
+        except KeyError:
+            raise QuotientError(f"unknown edge {target_edge!r}") from None
         v, b = e.src, nu_p(e.i0, p)
         target = f"edge:{target_edge}"
     else:
@@ -260,25 +263,47 @@ def construct_cycle_quotient(
     return _translation_cert(g, tree, p, k, k + eps.values[v] + b, eps, "cycle", target)
 
 
-def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> QuotientCert:
-    """Quotient of a balanced GBS group with image of the fibre at ``v``
-    cyclic of order exactly p^k and every vertex image inside the
-    translation subgroup.  Each stable letter is sent to the unit solving
-    its edge equation, which balance makes solvable."""
+def _balanced_setup(g: GbsGraph, p: int, k: int):
+    """The guards of the balanced constructors, then the spanning tree and
+    the rebased epsilon table that every vertex's certificate shares."""
     if not is_prime(p):
         raise QuotientError(f"{p} is not prime")
     if k < 0:
         raise QuotientError("k must be nonnegative")
-    if v not in g.vertices:
-        raise QuotientError(f"unknown vertex {v!r}")
     if any(e.is_loop for e in g.edges):
         raise QuotientError("subdivide loops first")
     tree = spanning_tree(g)
     _, balanced, witness = balance_potential(g, tree, g.vertices[0])
     if not balanced:
         raise QuotientError(f"graph is unbalanced; witness cycle {witness}")
-    eps = _rebased_epsilon(g, tree, p)
+    return tree, _rebased_epsilon(g, tree, p)
+
+
+def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> QuotientCert:
+    """Quotient of a balanced GBS group with image of the fibre at ``v``
+    cyclic of order exactly p^k and every vertex image inside the
+    translation subgroup.  Each stable letter is sent to the unit solving
+    its edge equation, which balance makes solvable."""
+    if v not in g.vertices:
+        raise QuotientError(f"unknown vertex {v!r}")
+    tree, eps = _balanced_setup(g, p, k)
     return _translation_cert(g, tree, p, k, k + eps.values[v], eps, "balanced", f"vertex:{v}")
+
+
+def construct_balanced_quotients(g: GbsGraph, p: int, k: int) -> tuple[QuotientCert, ...]:
+    """construct_balanced_quotient(g, v, p, k) for every vertex v, in
+    vertex order.  The certificate for v has modulus p^(k + eps(v)), and
+    two vertices with the same modulus get the same certificate up to its
+    target, so each distinct modulus is built and verified once."""
+    tree, eps = _balanced_setup(g, p, k)
+    by_modulus: dict[int, QuotientCert] = {}
+    certs = []
+    for v in g.vertices:
+        l = k + eps.values[v]
+        if l not in by_modulus:
+            by_modulus[l] = _translation_cert(g, tree, p, k, l, eps, "balanced", f"vertex:{v}")
+        certs.append(replace(by_modulus[l], target=f"vertex:{v}"))
+    return tuple(certs)
 
 
 def construct_nonisocratic_p_quotient(g: GbsGraph, p: int) -> QuotientCert:
@@ -354,7 +379,8 @@ def construct_nonisocratic_p_quotient(g: GbsGraph, p: int) -> QuotientCert:
 
 def verify_cert(g: GbsGraph, tree: set[str], cert: QuotientCert) -> dict:
     """Re-check a certificate: relator evaluation in the holomorph, exact
-    image orders, and the power-counting order formula where it applies.
+    image orders, the target claim (see target_failure), and the
+    power-counting order formula where it applies.
 
     Reports a bad certificate instead of raising.  Before any relator is
     evaluated it fails a modulus that is not a power p^l of the stated
@@ -402,12 +428,51 @@ def verify_cert(g: GbsGraph, tree: set[str], cert: QuotientCert) -> dict:
                 e = max(l - cert.epsilon[v], 0)
                 if e >= cap or orders[v] != p**e:
                     formula_ok = False
+    valid, failing = orders == cert.claimed_orders, None
+    if valid:
+        failing = target_failure(g, cert, orders)
+        valid = failing is None
     return {
-        "valid": orders == cert.claimed_orders,
+        "valid": valid,
         "orders": orders,
         "order_formula_ok": formula_ok,
-        "failing_relator": None,
+        "failing_relator": failing,
     }
+
+
+def target_failure(g: GbsGraph, cert: QuotientCert, orders: dict) -> str | None:
+    """Why the certificate's target claim fails, or None if it holds, given
+    the vertex image orders of a report in which every relator holds.
+
+    ``vertex:v`` claims that a_v has image order ``target_order``,
+    ``edge:e`` claims it of a_src^lambda0, and no target (the torsion
+    certificates onto C_p) claims it of some vertex.  The target order
+    must be a power of the prime; a certificate without a target order
+    claims nothing.  Apart from an edge target's one power and order,
+    this is dictionary lookups, so certificates that share a report can
+    each be checked against it.
+    """
+    target, want, N, p = cert.target, cert.target_order, cert.modulus, cert.prime
+    if want is None:
+        return None if target is None else f"target {target} has no target order"
+    if not isinstance(want, int) or want < 1 or p ** nu_p(want, p) != want:
+        return f"target order {want} is not a power of the prime {p}"
+    if target is None:
+        return None if want in orders.values() else f"no vertex image has the target order {want}"
+    kind, _, name = target.partition(":")
+    if kind == "vertex":
+        if name not in orders:
+            return f"unknown target vertex {name!r}"
+        got = orders[name]
+    elif kind == "edge":
+        try:
+            e = g.edge(name)
+        except KeyError:
+            return f"unknown target edge {name!r}"
+        got = hol_order(hol_pow(cert.images[vertex_gen(e.src)], e.lambda0, N), N, p)
+    else:
+        return f"unknown target {target!r}"
+    return None if got == want else f"target {target} has image order {got}, not {want}"
 
 
 def _require_valid(g: GbsGraph, tree: set[str], cert: QuotientCert) -> None:

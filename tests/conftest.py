@@ -37,6 +37,33 @@ def cycle_graph(labels):
     return GbsGraph(verts, edges)
 
 
+def weighted_graph(rng: random.Random, verts, pairs):
+    """A graph on the vertex pairs, balanced by random vertex weights x_v
+    in {2, 3}: the edge s -> t carries (c x_t, c x_s) up to sign, with c in
+    {1, 2}.  No label is +-1, so reduction collapses nothing."""
+    x = {v: rng.choice((2, 3)) for v in verts}
+    edges = []
+    for i, (s, t) in enumerate(pairs):
+        c = rng.randint(1, 2)
+        edges.append(Edge(f"e{i}", s, t, c * x[t] * rng.choice((1, -1)), c * x[s] * rng.choice((1, -1))))
+    return GbsGraph(tuple(verts), tuple(edges))
+
+
+def ladder_graph(rng: random.Random, rungs: int):
+    """A balanced ladder on 2 * rungs vertices: two rails and the rungs."""
+    us, ws = [f"u{i}" for i in range(rungs)], [f"w{i}" for i in range(rungs)]
+    pairs = [(a[i], a[i + 1]) for a in (us, ws) for i in range(rungs - 1)] + list(zip(us, ws))
+    return weighted_graph(rng, us + ws, pairs)
+
+
+def tree_with_chords(rng: random.Random, n: int, chords: int = 3):
+    """A balanced random tree on n >= 2 vertices plus a few chords."""
+    verts = [f"v{i}" for i in range(n)]
+    pairs = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)]
+    pairs += [tuple(rng.sample(verts, 2)) for _ in range(chords)]
+    return weighted_graph(rng, verts, pairs)
+
+
 def random_graph(rng: random.Random, max_vertices=6, max_label=9, extra_edges=3):
     """Random connected labelled graph: a random tree plus a few chords
     (loops and parallel edges allowed)."""

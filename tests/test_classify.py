@@ -1,26 +1,34 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import gbsep.arith
-from conftest import cycle_graph, random_graph, theta_graph
+import gbsep.classify
+import gbsep.quotients
+from conftest import cycle_graph, ladder_graph, random_graph, theta_graph, tree_with_chords
 from gbsep import (
     Edge,
     GbsGraph,
     bs_graph,
     classify_bs,
     classify_gbs,
+    construct_balanced_quotient,
     reduce_graph,
     self_audit,
     subdivide_loops,
+    verify_cert,
 )
 from gbsep.arith import primes_up_to
 from gbsep.classify import SEPARABLE_CASES
+from gbsep.graphs import stable_letter, vertex_gen
 
 
 @pytest.mark.parametrize(
@@ -210,3 +218,86 @@ def test_equal_and_coprime_products_factor_nothing(monkeypatch, n, m):
     assert self_audit(v)
     assert time.perf_counter() - t0 < 1.0
     assert calls == []
+
+
+# -- Balanced verdicts: one certificate per distinct modulus ------------------
+
+
+def balanced_corpus():
+    """Ladders, thetas, trees with chords, then the balanced verdicts among
+    300 random_graph draws."""
+    rng = random.Random(29)
+    graphs = [ladder_graph(rng, r) for r in (3, 6, 11)]
+    graphs += [theta_graph([(2 * c, 3 * c) for c in (1, 2, 3, 4)[:k]]) for k in (3, 4)]
+    graphs += [tree_with_chords(rng, n) for n in (5, 9, 16)]
+    for g in graphs:
+        v = classify_gbs(g)
+        assert v.case == "Balanced"
+        yield v
+    draws = (classify_gbs(random_graph(rng, max_vertices=5)) for _ in range(300))
+    yield from (v for v in draws if v.case == "Balanced")
+
+
+def test_balanced_certificates_match_the_single_vertex_constructor():
+    verdicts = list(balanced_corpus())
+    assert len(verdicts) > 20
+    for v in verdicts:
+        work = v.certificates[0].graph
+        assert len(v.certificates) == len(work.vertices)
+        for c, vertex in zip(v.certificates, work.vertices):
+            assert c.cert.to_json() == construct_balanced_quotient(work, vertex, 2, 1).to_json()
+        assert self_audit(v)
+
+
+def test_balanced_verdict_builds_and_audits_once_per_modulus(monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    verify = counting("verify_cert", gbsep.quotients.verify_cert)
+    monkeypatch.setattr(gbsep.quotients, "verify_cert", verify)
+    monkeypatch.setattr(gbsep.classify, "verify_cert", verify)
+    monkeypatch.setattr(
+        gbsep.quotients, "_translation_cert", counting("_translation_cert", gbsep.quotients._translation_cert)
+    )
+    v = classify_gbs(ladder_graph(random.Random(3), 22))
+    assert v.case == "Balanced" and len(v.certificates) == 44
+    assert self_audit(v)
+    moduli = len({c.cert.modulus for c in v.certificates})
+    assert moduli == 2
+    assert calls == {"_translation_cert": moduli, "verify_cert": 2 * moduli}
+
+
+def _with_member(verdict, i, **changes):
+    certs = list(verdict.certificates)
+    certs[i] = dataclasses.replace(certs[i], cert=dataclasses.replace(certs[i].cert, **changes))
+    return dataclasses.replace(verdict, certificates=tuple(certs))
+
+
+def test_self_audit_checks_each_member_of_a_shared_certificate():
+    v = classify_gbs(ladder_graph(random.Random(3), 22))
+    assert self_audit(v)
+    # the last vertex at the largest modulus shares its content with others
+    N = max(c.cert.modulus for c in v.certificates)
+    i = max(j for j, c in enumerate(v.certificates) if c.cert.modulus == N)
+    assert N >= 4 and sum(c.cert.modulus == N for c in v.certificates) > 1
+    member = v.certificates[i]
+    # an edge whose equation has a unit on each side has one solving unit,
+    # so changing that stable letter's unit breaks its relator
+    work, images = member.graph, member.cert.images
+    t = next(
+        stable_letter(e.id)
+        for e in work.edges
+        if e.id not in member.cert.tree and images[vertex_gen(e.src)][0] * e.lambda0 % 2
+    )
+    c, u = images[t]
+    bad_unit = _with_member(v, i, images={**images, t: (c, (u + 2) % N)})
+    assert not verify_cert(work, set(member.cert.tree), bad_unit.certificates[i].cert)["valid"]
+    assert not self_audit(bad_unit)
+    assert not self_audit(_with_member(v, i, target_order=4))
+    assert self_audit(_with_member(v, i, target_order=2))

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import gbsep.oracle
 from gbsep.arith import primes_up_to
 from gbsep.cli import main
+from gbsep.oracle import MAX_N_CAP
 
 THETA_SKEW = """
 vertex v1
@@ -119,6 +121,18 @@ def test_oracle_bound_below_one_is_input_error(capsys, bound):
     code, out, err = run(capsys, "oracle", "--bs", "2", "3", *bound, "--json")
     assert code == 1 and out == ""
     assert "below 1" in err
+
+
+@pytest.mark.parametrize("cap", [str(MAX_N_CAP + 1), "100000000000"])
+def test_oracle_ncap_above_bound_is_input_error(capsys, monkeypatch, cap):
+    # refused before the sieve up to the cap is built
+    def sieve(n):
+        raise AssertionError("primes_up_to ran")
+
+    monkeypatch.setattr(gbsep.oracle, "primes_up_to", sieve)
+    code, out, err = run(capsys, "oracle", "--bs", "2", "3", "--ncap", cap, "--json")
+    assert code == 1 and out == ""
+    assert f"above {MAX_N_CAP}" in err
 
 
 def test_epsilon_command(tmp_path, capsys):

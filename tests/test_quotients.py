@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import time
@@ -14,11 +15,13 @@ from gbsep import (
     QuotientCert,
     QuotientError,
     bs_graph,
+    classify_bs,
     construct_balanced_quotient,
     construct_cycle_quotient,
     construct_nonisocratic_p_quotient,
     is_isocratic,
     isocracy_locus,
+    self_audit,
     subdivide_loops,
     verify_cert,
 )
@@ -74,6 +77,8 @@ def test_cycle_quotient_refusals():
         construct_cycle_quotient(g, 6, 1, target_vertex="v1")
     with pytest.raises(QuotientError, match="exactly one"):
         construct_cycle_quotient(g, 5, 1)
+    with pytest.raises(QuotientError, match="unknown edge 'e9'"):
+        construct_cycle_quotient(g, 5, 1, target_edge="e9")
     with pytest.raises(QuotientError, match="subdivide"):
         construct_cycle_quotient(bs_graph(2, 3), 5, 1, target_vertex="v1")
     g24 = subdivide_loops(bs_graph(2, 4))
@@ -431,3 +436,40 @@ def test_verify_reports_missing_epsilon():
     del doc["epsilon"]["v1"]
     rep = verify_cert(g, set(doc["tree"]), QuotientCert.from_json(doc))
     assert rep["valid"] and not rep["order_formula_ok"]
+
+
+# -- target claims -------------------------------------------------------------
+
+# changes to the first certificate of classify_bs(2, 3): modulus 25 at the
+# prime 5, target vertex:v1 of order 25, tree edge e1a = v1 -> v1_e1_mid
+# with labels (3, 1), so a_v1^3 has order 25 too
+TARGET_TAMPERS = [
+    ({"target_order": 125}, "target vertex:v1 has image order 25, not 125"),
+    ({"target": "edge:e1a", "target_order": 5}, "target edge:e1a has image order 25, not 5"),
+    ({"target_order": 50}, "target order 50 is not a power of the prime 5"),
+    ({"target_order": 0}, "target order 0 is not a power of the prime 5"),
+    ({"target": "vertex:nonexistent"}, "unknown target vertex 'nonexistent'"),
+    ({"target": "edge:nonexistent"}, "unknown target edge 'nonexistent'"),
+    ({"target": "v1"}, "unknown target 'v1'"),
+    ({"target": None, "target_order": 125}, "no vertex image has the target order 125"),
+    ({"target_order": None}, "target vertex:v1 has no target order"),
+]
+
+
+@pytest.mark.parametrize("changes, reason", TARGET_TAMPERS)
+def test_verify_checks_the_target_claim(changes, reason):
+    g = subdivide_loops(bs_graph(2, 3))
+    cert = construct_cycle_quotient(g, 5, 2, target_vertex="v1")
+    assert verify_cert(g, set(cert.tree), cert)["valid"]
+    rep = verify_cert(g, set(cert.tree), dataclasses.replace(cert, **changes))
+    assert not rep["valid"] and rep["failing_relator"] == reason
+
+
+@pytest.mark.parametrize("changes", [changes for changes, _ in TARGET_TAMPERS])
+def test_self_audit_checks_the_target_claim(changes):
+    verdict = classify_bs(2, 3)
+    first, *rest = verdict.certificates
+    assert first.cert.to_json()["target"] == "vertex:v1" and self_audit(verdict)
+    tampered = dataclasses.replace(first, cert=dataclasses.replace(first.cert, **changes))
+    assert not self_audit(dataclasses.replace(verdict, certificates=(tampered, *rest)))
+
