@@ -91,7 +91,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    g = subdivide_loops(_load_graph(args))
+    g = _load_graph(args)
     with open(args.module) as fh:
         module = FpModule.from_json(json.load(fh))
     tree = spanning_tree(g)
@@ -124,8 +124,12 @@ def _cmd_quotient(args) -> int:
             g, args.p, args.k, target_vertex=args.vertex, target_edge=args.edge
         )
     elif kind == "torsion":
+        if args.vertex or args.edge or args.k != 1:
+            raise QuotientError("a torsion quotient takes no --vertex, --edge or -k")
         cert = construct_nonisocratic_p_quotient(g, args.p)
     else:
+        if args.edge:
+            raise QuotientError("a balanced quotient targets a vertex; --edge is for cycles")
         vertex = args.vertex or g.vertices[0]
         cert = construct_balanced_quotient(g, vertex, args.p, args.k)
     _emit(cert.to_json(), args.json)

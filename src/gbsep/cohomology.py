@@ -59,6 +59,8 @@ class FpModule:
     actions: dict
 
     def __post_init__(self):
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
+            raise ModuleError(f"dimension {self.dim!r} is not a nonnegative integer")
         if not is_prime(self.prime):
             raise ModuleError(f"{self.prime} is not prime")
         norm = {}
@@ -95,7 +97,7 @@ class FpModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FpModule":
-        return cls(int(doc["prime"]), int(doc["dim"]), dict(doc.get("actions", {})))
+        return cls(int(doc["prime"]), doc["dim"], dict(doc.get("actions", {})))
 
 
 def validate_module(m: FpModule, pres: Presentation) -> None:

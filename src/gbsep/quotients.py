@@ -11,7 +11,7 @@ trusting the construction that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arith import factorize, is_isocratic, is_prime, nu_p, p_free_part, unit_order
 from .graphs import (
@@ -263,9 +263,13 @@ def construct_cycle_quotient(
     return _translation_cert(g, tree, p, k, k + eps.values[v] + b, eps, "cycle", target)
 
 
-def _balanced_setup(g: GbsGraph, p: int, k: int):
-    """The guards of the balanced constructors, then the spanning tree and
-    the rebased epsilon table that every vertex's certificate shares."""
+def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> QuotientCert:
+    """Quotient of a balanced GBS group with image of the fibre at ``v``
+    cyclic of order exactly p^k and every vertex image inside the
+    translation subgroup.  Each stable letter is sent to the unit solving
+    its edge equation, which balance makes solvable."""
+    if v not in g.vertices:
+        raise QuotientError(f"unknown vertex {v!r}")
     if not is_prime(p):
         raise QuotientError(f"{p} is not prime")
     if k < 0:
@@ -276,34 +280,8 @@ def _balanced_setup(g: GbsGraph, p: int, k: int):
     _, balanced, witness = balance_potential(g, tree, g.vertices[0])
     if not balanced:
         raise QuotientError(f"graph is unbalanced; witness cycle {witness}")
-    return tree, _rebased_epsilon(g, tree, p)
-
-
-def construct_balanced_quotient(g: GbsGraph, v: str, p: int, k: int) -> QuotientCert:
-    """Quotient of a balanced GBS group with image of the fibre at ``v``
-    cyclic of order exactly p^k and every vertex image inside the
-    translation subgroup.  Each stable letter is sent to the unit solving
-    its edge equation, which balance makes solvable."""
-    if v not in g.vertices:
-        raise QuotientError(f"unknown vertex {v!r}")
-    tree, eps = _balanced_setup(g, p, k)
+    eps = _rebased_epsilon(g, tree, p)
     return _translation_cert(g, tree, p, k, k + eps.values[v], eps, "balanced", f"vertex:{v}")
-
-
-def construct_balanced_quotients(g: GbsGraph, p: int, k: int) -> tuple[QuotientCert, ...]:
-    """construct_balanced_quotient(g, v, p, k) for every vertex v, in
-    vertex order.  The certificate for v has modulus p^(k + eps(v)), and
-    two vertices with the same modulus get the same certificate up to its
-    target, so each distinct modulus is built and verified once."""
-    tree, eps = _balanced_setup(g, p, k)
-    by_modulus: dict[int, QuotientCert] = {}
-    certs = []
-    for v in g.vertices:
-        l = k + eps.values[v]
-        if l not in by_modulus:
-            by_modulus[l] = _translation_cert(g, tree, p, k, l, eps, "balanced", f"vertex:{v}")
-        certs.append(replace(by_modulus[l], target=f"vertex:{v}"))
-    return tuple(certs)
 
 
 def construct_nonisocratic_p_quotient(g: GbsGraph, p: int) -> QuotientCert:
@@ -448,9 +426,7 @@ def target_failure(g: GbsGraph, cert: QuotientCert, orders: dict) -> str | None:
     ``edge:e`` claims it of a_src^lambda0, and no target (the torsion
     certificates onto C_p) claims it of some vertex.  The target order
     must be a power of the prime; a certificate without a target order
-    claims nothing.  Apart from an edge target's one power and order,
-    this is dictionary lookups, so certificates that share a report can
-    each be checked against it.
+    claims nothing.
     """
     target, want, N, p = cert.target, cert.target_order, cert.modulus, cert.prime
     if want is None:

@@ -21,8 +21,10 @@ from gbsep import (
     classify_bs,
     classify_gbs,
     construct_balanced_quotient,
+    epsilon_table,
     reduce_graph,
     self_audit,
+    spanning_tree,
     subdivide_loops,
     verify_cert,
 )
@@ -220,7 +222,7 @@ def test_equal_and_coprime_products_factor_nothing(monkeypatch, n, m):
     assert calls == []
 
 
-# -- Balanced verdicts: one certificate per distinct modulus ------------------
+# -- Balanced verdicts: one certificate at the largest modulus ----------------
 
 
 def balanced_corpus():
@@ -242,14 +244,17 @@ def test_balanced_certificates_match_the_single_vertex_constructor():
     verdicts = list(balanced_corpus())
     assert len(verdicts) > 20
     for v in verdicts:
-        work = v.certificates[0].graph
-        assert len(v.certificates) == len(work.vertices)
-        for c, vertex in zip(v.certificates, work.vertices):
-            assert c.cert.to_json() == construct_balanced_quotient(work, vertex, 2, 1).to_json()
+        (c,) = v.certificates
+        work = c.graph
+        eps = epsilon_table(work, spanning_tree(work), 2, work.vertices[0]).values
+        w = next(x for x in work.vertices if eps[x] == max(eps.values()))
+        assert c.cert.to_json() == construct_balanced_quotient(work, w, 2, 1).to_json()
+        assert c.cert.target == f"vertex:{w}" and c.cert.claimed_orders[w] == 2
+        assert all(o % 2 == 0 for o in c.cert.claimed_orders.values())
         assert self_audit(v)
 
 
-def test_balanced_verdict_builds_and_audits_once_per_modulus(monkeypatch):
+def test_balanced_verdict_builds_and_audits_once(monkeypatch):
     calls = Counter()
 
     def counting(name, real):
@@ -266,38 +271,36 @@ def test_balanced_verdict_builds_and_audits_once_per_modulus(monkeypatch):
         gbsep.quotients, "_translation_cert", counting("_translation_cert", gbsep.quotients._translation_cert)
     )
     v = classify_gbs(ladder_graph(random.Random(3), 22))
-    assert v.case == "Balanced" and len(v.certificates) == 44
+    assert v.case == "Balanced" and len(v.certificates[0].graph.vertices) == 44
+    assert len(v.certificates) == 1
     assert self_audit(v)
-    moduli = len({c.cert.modulus for c in v.certificates})
-    assert moduli == 2
-    assert calls == {"_translation_cert": moduli, "verify_cert": 2 * moduli}
+    # one verification inside the constructor, one in the audit
+    assert calls == {"_translation_cert": 1, "verify_cert": 2}
 
 
-def _with_member(verdict, i, **changes):
-    certs = list(verdict.certificates)
-    certs[i] = dataclasses.replace(certs[i], cert=dataclasses.replace(certs[i].cert, **changes))
-    return dataclasses.replace(verdict, certificates=tuple(certs))
+def _with_cert(verdict, **changes):
+    (c,) = verdict.certificates
+    c = dataclasses.replace(c, cert=dataclasses.replace(c.cert, **changes))
+    return dataclasses.replace(verdict, certificates=(c,))
 
 
-def test_self_audit_checks_each_member_of_a_shared_certificate():
+def test_self_audit_checks_the_balanced_certificate():
     v = classify_gbs(ladder_graph(random.Random(3), 22))
     assert self_audit(v)
-    # the last vertex at the largest modulus shares its content with others
-    N = max(c.cert.modulus for c in v.certificates)
-    i = max(j for j, c in enumerate(v.certificates) if c.cert.modulus == N)
-    assert N >= 4 and sum(c.cert.modulus == N for c in v.certificates) > 1
-    member = v.certificates[i]
+    (c,) = v.certificates
+    N = c.cert.modulus
+    assert N >= 4
     # an edge whose equation has a unit on each side has one solving unit,
     # so changing that stable letter's unit breaks its relator
-    work, images = member.graph, member.cert.images
+    work, images = c.graph, c.cert.images
     t = next(
         stable_letter(e.id)
         for e in work.edges
-        if e.id not in member.cert.tree and images[vertex_gen(e.src)][0] * e.lambda0 % 2
+        if e.id not in c.cert.tree and images[vertex_gen(e.src)][0] * e.lambda0 % 2
     )
-    c, u = images[t]
-    bad_unit = _with_member(v, i, images={**images, t: (c, (u + 2) % N)})
-    assert not verify_cert(work, set(member.cert.tree), bad_unit.certificates[i].cert)["valid"]
+    u = images[t][1]
+    bad_unit = _with_cert(v, images={**images, t: (images[t][0], (u + 2) % N)})
+    assert not verify_cert(work, set(c.cert.tree), bad_unit.certificates[0].cert)["valid"]
     assert not self_audit(bad_unit)
-    assert not self_audit(_with_member(v, i, target_order=4))
-    assert self_audit(_with_member(v, i, target_order=2))
+    assert not self_audit(_with_cert(v, target_order=4))
+    assert self_audit(_with_cert(v, target_order=2))

@@ -18,6 +18,14 @@ edge e2 v1 v2 2 2
 edge e3 v1 v2 2 3
 """
 
+THETA_BALANCED = """
+vertex a
+vertex b
+edge e1 a b 2 3
+edge e2 a b 4 6
+edge e3 a b 6 9
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -75,7 +83,8 @@ def test_quotient_command(capsys):
 def test_quotient_default_exponent_is_one(capsys):
     code, out, _ = run(capsys, "quotient", "--bs", "2", "3", "-p", "5", "--vertex", "v1", "--json")
     assert code == 0
-    assert json.loads(out)["modulus"] == 5
+    doc = json.loads(out)
+    assert doc["modulus"] == 5 and doc["target_order"] == 5
 
 
 def test_quotient_large_prime_cube(capsys):
@@ -105,6 +114,19 @@ def test_quotient_torsion_auto(capsys):
 def test_quotient_out_of_locus_is_input_error(capsys):
     code, _, err = run(capsys, "quotient", "--bs", "2", "3", "-p", "2", "--vertex", "v1")
     assert code == 1 and "isocracy locus" in err
+
+
+def test_quotient_balanced_refuses_edge_target(tmp_path, capsys):
+    f = tmp_path / "theta.gbs"
+    f.write_text(THETA_BALANCED)
+    code, out, err = run(capsys, "quotient", str(f), "-p", "5", "--edge", "e1", "--json")
+    assert code == 1 and out == "" and "--edge" in err
+
+
+@pytest.mark.parametrize("extra", [["--vertex", "nope"], ["--edge", "e1"], ["-k", "3"]])
+def test_quotient_torsion_refuses_target_options(capsys, extra):
+    code, out, err = run(capsys, "quotient", "--bs", "2", "4", "-p", "2", *extra, "--json")
+    assert code == 1 and out == "" and "torsion quotient takes no" in err
 
 
 def test_oracle_command(capsys):
@@ -188,6 +210,30 @@ def test_cohomology_profinite_low_degrees_outside_locus(tmp_path, capsys):
     doc = json.loads(out)
     for side in ("abstract", "profinite"):
         assert [doc[side][k] for k in ("h0", "h1", "h2")] == [1, 1, 0]
+
+
+def test_cohomology_module_on_the_loop_presentation(tmp_path, capsys):
+    # <a_v1, t_e1 | a_v1 = t_e1 a_v1^2 t_e1^-1> acting on F_2^3: a 3-cycle
+    # inverted by a transposition
+    module = tmp_path / "mod.json"
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    module.write_text(json.dumps({"prime": 2, "dim": 3, "actions": {"a_v1": cycle, "t_e1": swap}}))
+    code, out, err = run(
+        capsys, "cohomology", "--bs", "1", "2", "--module", str(module), "--side", "both", "--json"
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    for side in ("abstract", "profinite"):
+        assert [doc[side][k] for k in ("h0", "h1", "h2")] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("dim", [2.5, -1])
+def test_cohomology_module_dimension_not_a_nonnegative_integer(tmp_path, capsys, dim):
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps({"prime": 5, "dim": dim, "actions": {}}))
+    code, out, err = run(capsys, "cohomology", "--bs", "2", "3", "--module", str(module))
+    assert code == 1 and out == "" and "not a nonnegative integer" in err
 
 
 def test_json_deterministic(capsys):

@@ -120,6 +120,9 @@ def test_module_validation():
         FpModule(3, 2, {"a_v1": [[1, 0], [0, 0]]})  # singular
     with pytest.raises(ModuleError):
         FpModule(3, 2, {"a_v1": [[1, 0]]})  # wrong shape
+    for dim in (2.5, -1, "2", True):
+        with pytest.raises(ModuleError, match="nonnegative integer"):
+            FpModule(5, dim, {})
 
 
 def test_module_json_roundtrip():

@@ -12,11 +12,16 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from conftest import random_graph, witness_cases
 from gbsep import FpModule, classify_bs, classify_gbs, cohomology_abstract, self_audit, spanning_tree
 from gbsep.graphs import stable_letter
 
-VERDICT_HASH = "90eb5ba6d07d570d8f508cfdc10f3835d5ba2acde7cd74e45241203b4d9d3767"
+# Balanced verdicts are hashed apart from the rest, so a declared change
+# to the Balanced certificate re-pins one hash and leaves the other alone.
+VERDICT_HASH = "2cdaeee6fd6d6e0ddafba68d154f595f478e99fe11e90eddba130e89cb95bc4c"
+BALANCED_VERDICT_HASH = "ac0df474d7b7cb5064c953a895c3ec1b7470e92b5f00141e3b4335ebaec5ba72"
 COHOMOLOGY_HASH = "baa13827e8719584b60ec6799120105a9e24728dc97159206cf6450e98bcd536"
 
 
@@ -61,10 +66,25 @@ def _sha(items) -> str:
     return h.hexdigest()
 
 
-def test_verdicts_byte_identical():
-    assert _sha(
-        json.dumps(v.to_json(), sort_keys=True) + str(self_audit(v)) for v in verdict_corpus()
-    ) == VERDICT_HASH
+@pytest.fixture(scope="module")
+def verdict_rows() -> dict[bool, list[str]]:
+    """Each corpus verdict's JSON and audit result, keyed by whether it is Balanced."""
+    rows = {False: [], True: []}
+    for v in verdict_corpus():
+        rows[v.case == "Balanced"].append(json.dumps(v.to_json(), sort_keys=True) + str(self_audit(v)))
+    return rows
+
+
+def test_verdicts_byte_identical(verdict_rows):
+    rows = verdict_rows[False]
+    assert len(rows) == 2002
+    assert _sha(rows) == VERDICT_HASH
+
+
+def test_balanced_verdicts_byte_identical(verdict_rows):
+    rows = verdict_rows[True]
+    assert len(rows) == 282
+    assert _sha(rows) == BALANCED_VERDICT_HASH
 
 
 def test_cohomology_identical():

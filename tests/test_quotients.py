@@ -92,6 +92,8 @@ def test_balanced_quotient_theta():
     assert cert.claimed_orders["v1"] == 9
     rep = verify_cert(theta, set(cert.tree), cert)
     assert rep["valid"] and rep["order_formula_ok"]
+    with pytest.raises(QuotientError, match="unknown vertex"):
+        construct_balanced_quotient(theta, "nope", 3, 2)
 
 
 def test_balanced_quotient_rejects_unbalanced():
