@@ -7,6 +7,14 @@ sequence is assembled block-wise from norm elements; its corank in degree
 one computes H^2 of the fundamental group, since the vertex fibres have
 cohomological dimension one.
 
+Every module gbsep builds is a permutation module (M e_j = e_img[j]),
+whose cohomology depends only on orbits (K. S. Brown, *Cohomology of
+Groups*, III.6), so its maps are read off cycles with no elimination: a
+fibre acting by s has one fixed vector and one coinvariant per cycle of
+s; a cycle C of s splits into g = gcd(|C|, lambda) cycles of s^lambda,
+those of C[0], ..., C[g-1]; and in the coinvariants of s^lambda,
+N(s, lambda) sends a point of C to lambda/g times each of their classes.
+
 Both maps come from one assembly, and the profinite side is derived
 from the abstract report.  When the coefficient prime p lies outside the
 licensed fibre topology, each fibre is pro-prime-to-p: its degree-one
@@ -18,8 +26,9 @@ cover are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from math import gcd
 
 from . import linalg
 from .arith import PrimeSet, is_isocratic, is_prime, isocracy_locus, nu_p
@@ -52,18 +61,23 @@ class FpModule:
     """A finite-dimensional F_p vector space with an action of each
     presentation generator by an invertible matrix.  Generators absent
     from ``actions`` act as the identity.  Actions may be given as nested
-    rows of integers; they are stored as sparse ``linalg.Matrix`` values."""
+    rows of integers; they are stored as sparse ``linalg.Matrix`` values,
+    and ``perms`` maps each acting generator to its images (a e_j =
+    e_img[j]) if every action is a permutation matrix, else is None."""
 
     prime: int
     dim: int
     actions: dict
+    perms: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
             raise ModuleError(f"dimension {self.dim!r} is not a nonnegative integer")
+        if not isinstance(self.prime, int) or isinstance(self.prime, bool):
+            raise ModuleError(f"prime {self.prime!r} is not an integer")
         if not is_prime(self.prime):
             raise ModuleError(f"{self.prime} is not prime")
-        norm = {}
+        norm, perms = {}, {}
         for gen, mat in self.actions.items():
             try:
                 a = linalg.matrix(mat, self.prime)
@@ -71,10 +85,14 @@ class FpModule:
                 a = None
             if a is None or a.shape != (self.dim, self.dim):
                 raise ModuleError(f"action of {gen} has wrong shape")
-            if linalg.rank(a, self.prime) != self.dim:
+            # a permutation matrix holds a lone 1 in each row, in distinct columns
+            img = {j: i for i, r in enumerate(a.rows) for j, x in r.items() if len(r) == 1 and x == 1}
+            perms[gen] = [img[j] for j in range(self.dim)] if len(img) == self.dim else None
+            if perms[gen] is None and linalg.rank(a, self.prime) != self.dim:
                 raise ModuleError(f"action of {gen} is singular mod {self.prime}")
             norm[gen] = a
         object.__setattr__(self, "actions", norm)
+        object.__setattr__(self, "perms", None if None in perms.values() else perms)
 
     def action(self, gen: str) -> linalg.Matrix:
         mat = self.actions.get(gen)
@@ -83,9 +101,12 @@ class FpModule:
         return mat
 
     def word_action(self, word) -> linalg.Matrix:
+        """The matrix of a word; letters without an action are skipped."""
         out = linalg.identity(self.dim)
         for gen, exp in word:
-            out = linalg.mul(out, linalg.mat_pow(self.action(gen), exp, self.prime), self.prime)
+            if gen in self.actions:
+                power = linalg.mat_pow(self.actions[gen], exp, self.prime)
+                out = linalg.mul(out, power, self.prime)
         return out
 
     def to_json(self) -> dict:
@@ -97,18 +118,49 @@ class FpModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FpModule":
-        return cls(int(doc["prime"]), doc["dim"], dict(doc.get("actions", {})))
+        return cls(doc["prime"], doc["dim"], dict(doc.get("actions", {})))
+
+
+def _cycles(img: list[int]) -> list[list[int]]:
+    """The cycles of img, each from its largest point on, ordered by that
+    point as the matrix path orders fixed vectors and coinvariants."""
+    seen, out = [False] * len(img), []
+    for j in reversed(range(len(img))):
+        cycle = []
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = img[j]
+        if cycle:
+            out.append(cycle)
+    return out[::-1]
+
+
+def _perm_pow(img: list[int], k: int) -> list[int]:
+    """img composed with itself k times, any integer k, in O(len(img))."""
+    out = [0] * len(img)
+    for cycle in _cycles(img):
+        for i, j in enumerate(cycle):
+            out[j] = cycle[(i + k) % len(cycle)]
+    return out
 
 
 def validate_module(m: FpModule, pres: Presentation) -> None:
     """Check that every relator acts as the identity; raise naming the
-    first violated relator otherwise."""
+    first violated relator otherwise.  Permutations compose as such."""
     for gen in m.actions:
         if gen not in pres.generators:
             raise ModuleError(f"unknown generator {gen!r}")
-    eye = linalg.identity(m.dim)
     for rel in pres.relators:
-        if m.word_action(rel) != eye:
+        if m.perms is None:
+            ok = m.word_action(rel) == linalg.identity(m.dim)
+        else:
+            out = list(range(m.dim))
+            for gen, exp in rel:
+                if gen in m.perms:
+                    out = [out[j] for j in _perm_pow(m.perms[gen], exp)]
+            ok = out == list(range(m.dim))
+        if not ok:
             word = " ".join(f"{g}^{e}" for g, e in rel)
             raise ModuleError(f"relator not satisfied by module action: {word}")
 
@@ -201,6 +253,12 @@ def assemble_maps(g: GbsGraph, tree: set[str], m: FpModule):
     doubling as N(a_dst, lambda1).  With all relevant actions trivial the
     degree-one map is the scalar matrix with entries -+i0 and +-i1.
 
+    For a permutation module (M e_j = e_img[j]) the blocks come from
+    cycles, with t = a_dst^lambda1: each cycle C of a_dst writes +1 and
+    lambda1/g, g = gcd(|C|, lambda1), at the t-cycles of C[r], r < g; each
+    cycle C of a_src writes -1 and -lambda0/g' at those of T_e(C[r]),
+    r < g' = gcd(|C|, lambda0).  An edge costs O(dim), whatever its labels.
+
     Returns (h0map, hbar, vertex_dims, edge_dims) with the maps as sparse
     ``linalg.Matrix`` values; a fibre's fixed space and coinvariants have
     the same dimension, so one list per side gives the blocks of both
@@ -208,6 +266,8 @@ def assemble_maps(g: GbsGraph, tree: set[str], m: FpModule):
     """
     p = m.prime
     validate_module(m, canonical_presentation(g, tree))
+    if m.perms is not None:
+        return _assemble_on_cycles(g, tree, m)
     act = {v: m.action(vertex_gen(v)) for v in g.vertices}
     vert = {v: _fibre(act[v], p) for v in g.vertices}
     vdims = [vert[v][0].cols for v in g.vertices]
@@ -246,6 +306,35 @@ def assemble_maps(g: GbsGraph, tree: set[str], m: FpModule):
 def _write(rows: list[dict[int, int]], block: linalg.Matrix, offset: int) -> None:
     for row, part in zip(rows, block.rows):
         row.update((offset + j, x) for j, x in part.items())
+
+
+def _assemble_on_cycles(g: GbsGraph, tree: set[str], m: FpModule):
+    """``assemble_maps`` for a permutation module, entry for entry.  Both
+    fibre dimensions count the same cycles, so, unlike ``_fibre``, it
+    needs no check that they agree."""
+    p, ident = m.prime, list(range(m.dim))
+    perm = {v: m.perms.get(vertex_gen(v), ident) for v in g.vertices}
+    cycles = {v: _cycles(perm[v]) for v in g.vertices}
+    vdims = [len(cycles[v]) for v in g.vertices]
+    col = dict(zip(g.vertices, accumulate([0] + vdims)))
+    h0rows, hbar_rows, edims = [], [], []
+    for e in g.edges:
+        sub = _cycles(_perm_pow(perm[e.dst], e.lambda1))
+        orbit = {j: k for k, cycle in enumerate(sub) for j in cycle}
+        t = ident if e.id in tree else m.perms.get(stable_letter(e.id), ident)
+        h0block, hbar_block = [{} for _ in sub], [{} for _ in sub]
+        for v, lam, sign, move in ((e.dst, e.lambda1, 1, ident), (e.src, e.lambda0, -1, t)):
+            for c, cycle in enumerate(cycles[v], col[v]):
+                split = gcd(len(cycle), lam)
+                for j in cycle[:split]:
+                    k = orbit[move[j]]
+                    h0block[k][c] = h0block[k].get(c, 0) + sign
+                    hbar_block[k][c] = hbar_block[k].get(c, 0) + sign * lam // split
+        h0rows += ({c: x % p for c, x in row.items() if x % p} for row in h0block)
+        hbar_rows += ({c: x % p for c, x in row.items() if x % p} for row in hbar_block)
+        edims.append(len(sub))
+    cols = sum(vdims)
+    return linalg.Matrix(h0rows, cols), linalg.Matrix(hbar_rows, cols), vdims, edims
 
 
 @dataclass(frozen=True)

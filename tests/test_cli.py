@@ -236,6 +236,15 @@ def test_cohomology_module_dimension_not_a_nonnegative_integer(tmp_path, capsys,
     assert code == 1 and out == "" and "not a nonnegative integer" in err
 
 
+@pytest.mark.parametrize("prime", [5.9, "5", True])
+def test_cohomology_module_prime_not_an_integer(tmp_path, capsys, prime):
+    # 5.9 was truncated to 5 and the F_5 cohomology reported
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps({"prime": prime, "dim": 1, "actions": {}}))
+    code, out, err = run(capsys, "cohomology", "--bs", "2", "3", "--module", str(module))
+    assert code == 1 and out == "" and "is not an integer" in err
+
+
 def test_json_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "--bs", "6", "10", "--json")
     _, out2, _ = run(capsys, "classify", "--bs", "6", "10", "--json")

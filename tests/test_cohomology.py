@@ -26,9 +26,10 @@ from gbsep import (
     subdivide_loops,
     validate_module,
 )
-from gbsep.arith import PrimeSet
+from gbsep.arith import PrimeSet, primes_up_to
 from gbsep.cohomology import assemble_maps, coinvariants, norm_element
 from gbsep.graphs import Edge, GbsGraph, canonical_presentation, stable_letter, vertex_gen
+from gbsep.quotients import QuotientError, construct_cycle_quotient
 
 
 def trivial(p):
@@ -123,6 +124,11 @@ def test_module_validation():
     for dim in (2.5, -1, "2", True):
         with pytest.raises(ModuleError, match="nonnegative integer"):
             FpModule(5, dim, {})
+    for prime in (5.9, 5.0, "5", True):
+        with pytest.raises(ModuleError, match="not an integer"):
+            FpModule(prime, 1, {})
+    with pytest.raises(ModuleError, match="prime 5.9 is not an integer"):
+        FpModule.from_json({"prime": 5.9, "dim": 1, "actions": {}})
 
 
 def test_module_json_roundtrip():
@@ -138,6 +144,24 @@ def test_validate_module_names_offender():
     bad = FpModule(5, 1, {"a_v1": [[2]]})  # 2^4 * 2^-2 = 4 != 1 mod 5
     with pytest.raises(ModuleError, match="relator"):
         validate_module(bad, pres)
+
+
+def test_word_action_skips_generators_without_action(monkeypatch):
+    # only the stable letter acts, so only its two letters per relator are
+    # powered; the identity of every vertex generator is never formed
+    calls = []
+    original = linalg.mat_pow
+
+    def counted(a, k, p):
+        calls.append(k)
+        return original(a, k, p)
+
+    monkeypatch.setattr(linalg, "mat_pow", counted)
+    g = theta_graph([(2, 2)] * 3)
+    tree = spanning_tree(g)
+    actions = {stable_letter(e.id): [[2, 0], [0, 3]] for e in g.edges if e.id not in tree}
+    validate_module(FpModule(5, 2, actions), canonical_presentation(g, tree))
+    assert sorted(calls) == [-1, -1, 1, 1]
 
 
 def test_coinvariants_swap():
@@ -237,8 +261,11 @@ def test_torus_cohomology():
 
 
 def test_inconsistent_report_raises(monkeypatch):
-    # a fibre's fixed space and its coinvariants come from separate
-    # eliminations; the assembler raises when their dimensions differ
+    # on the matrix path a fibre's fixed space and its coinvariants come
+    # from separate eliminations; the assembler raises when their
+    # dimensions differ.  The stable letter of BS(2, 3) acts by the scalar
+    # 2 mod 5, which is no permutation, and a_v1 acts trivially, so the
+    # relator holds.
     from gbsep import cohomology
 
     original = cohomology.coinvariants
@@ -251,7 +278,176 @@ def test_inconsistent_report_raises(monkeypatch):
     monkeypatch.setattr(cohomology, "coinvariants", one_dimension_short)
     g, tree = setup(bs_graph(2, 3))
     with pytest.raises(RuntimeError, match="internal error"):
-        cohomology_abstract(g, tree, trivial(5))
+        cohomology_abstract(g, tree, FpModule(5, 1, {stable_letter("e1"): [[2]]}))
+
+
+# -- the permutation path against the matrix path ----------------------------
+
+
+def _on_the_matrix_path(m, rng):
+    """An isomorphic copy of m that is no permutation module: every action
+    conjugated by one random invertible matrix, a product of dim
+    transvections.  Conjugation leaves the identity alone, so a module
+    whose every action is trivial stays a permutation module; its copy
+    has ``perms`` cleared instead."""
+    d, p = m.dim, m.prime
+    conj = linalg.identity(d)
+    for _ in range(d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        step = linalg.identity(d)
+        step.rows[i][j] = rng.randrange(1, p)
+        conj = linalg.mul(step, conj, p)
+    inv = linalg.inverse(conj, p)
+    copy = FpModule(p, d, {g: linalg.mul(linalg.mul(conj, a, p), inv, p) for g, a in m.actions.items()})
+    if copy.perms is not None:
+        object.__setattr__(copy, "perms", None)
+    return copy
+
+
+def _assert_paths_agree(g, m, rng):
+    assert m.perms is not None
+    tree = spanning_tree(g)
+    assert cohomology_abstract(g, tree, m) == cohomology_abstract(g, tree, _on_the_matrix_path(m, rng))
+
+
+def _leaf_graph(rng):
+    """A reduced-enough betti-one graph: a cycle of one to three vertices
+    (a loop for one) with one or two leaves of index at least 2."""
+    def lab(lo=1):
+        return rng.choice((-1, 1)) * rng.randint(lo, 6)
+
+    s = rng.randint(1, 3)
+    if s == 1:
+        base = GbsGraph(("v0",), (Edge("e0", "v0", "v0", lab(), lab()),))
+    else:
+        base = cycle_graph([(lab(), lab()) for _ in range(s)])
+    verts, edges = list(base.vertices), list(base.edges)
+    for i in range(rng.randint(1, 2)):
+        edges.append(Edge(f"l{i}", rng.choice(verts), f"x{i}", lab(), lab(2)))
+        verts.append(f"x{i}")
+    return GbsGraph(tuple(verts), tuple(edges))
+
+
+def _holomorph_cases(rng, count):
+    """Permutation modules F_q[Z/N] from cycle-quotient certificates with
+    N = p^k <= 60 on subdivided BS(+-a, +-b), a, b <= 8: each generator
+    acts by x -> u x + c.  Each comes on the subdivided graph and moved
+    onto the loop, where t_e1 takes the subdivided stable letter's image."""
+    certs = []
+    for a in range(-8, 9):
+        for b in range(-8, 9):
+            if not (a and b):
+                continue
+            g = subdivide_loops(bs_graph(a, b))
+            for p in primes_up_to(60):
+                for k in range(1, 7):
+                    try:
+                        cert = construct_cycle_quotient(g, p, k, target_vertex="v1")
+                    except QuotientError:
+                        break
+                    if cert.modulus > 60:
+                        break
+                    certs.append((a, b, g, cert))
+    cases = []
+    for a, b, g, cert in rng.sample(certs, count):
+        n, q = cert.modulus, rng.choice((2, 3, 5))
+        acts = {
+            gen: [[int((c + u * x) % n == y) for x in range(n)] for y in range(n)]
+            for gen, (c, u) in cert.images.items()
+        }
+        [t] = [gen for gen in acts if gen.startswith("t_")]
+        cases.append((g, FpModule(q, n, acts), cert.images[t][1]))
+        cases.append((bs_graph(a, b), FpModule(q, n, {"a_v1": acts["a_v1"], "t_e1": acts[t]}), None))
+    return cases
+
+
+def _loop_permutation_case(rng):
+    """A random permutation module on one vertex with one or two loops.
+    a_v1 acts by a random permutation s of at most 8 points; each stable
+    letter by a T with T s^l0 T^-1 = s^l1, which sends the cycles of s^l0
+    onto equally long cycles of s^l1 at random offsets."""
+
+    def power_cycles(k):
+        step = s if k > 0 else [s.index(j) for j in range(d)]
+        image = list(range(d))
+        for _ in range(abs(k)):
+            image = [step[j] for j in image]
+        cycles, seen = [], set()
+        for start in range(d):
+            cycle = []
+            while start not in seen:
+                seen.add(start)
+                cycle.append(start)
+                start = image[start]
+            if cycle:
+                cycles.append(cycle)
+        return cycles
+
+    def lab():
+        return rng.choice((-1, 1)) * rng.randint(1, 6)
+
+    while True:
+        d = rng.randint(1, 8)
+        s = rng.sample(range(d), d)
+        edges = tuple(Edge(f"e{i}", "v1", "v1", lab(), lab()) for i in range(rng.randint(1, 2)))
+        perms = {"a_v1": s}
+        for e in edges:
+            src, dst = power_cycles(e.lambda0), power_cycles(e.lambda1)
+            if sorted(map(len, src)) != sorted(map(len, dst)):
+                break
+            rng.shuffle(dst)
+            t = [0] * d
+            for a in src:
+                b = next(b for b in dst if len(b) == len(a))
+                dst.remove(b)
+                off = rng.randrange(len(a))
+                for i, j in enumerate(a):
+                    t[j] = b[(i + off) % len(a)]
+            perms[stable_letter(e.id)] = t
+        else:
+            actions = {g: [[int(img[x] == y) for x in range(d)] for y in range(d)] for g, img in perms.items()}
+            return GbsGraph(("v1",), edges), FpModule(rng.choice((2, 3, 5)), d, actions)
+
+
+def test_permutation_path_matches_matrix_path():
+    rng = random.Random(31)
+    cases = witness_cases(30)
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=5)
+        cases += [(g, trivial(p)) for p in (2, 3, 5)] + [(g, FpModule(3, 0, {}))]
+    for _ in range(40):
+        g = _leaf_graph(rng)
+        cases.append((g, build_leaf_witness(g, rng.choice((2, 3, 5)))))
+    holomorph = _holomorph_cases(rng, 40)
+    # loops whose stable letter has unit part u != 1
+    assert sum(u not in (None, 1) for _, _, u in holomorph) >= 20
+    cases += [(g, m) for g, m, _ in holomorph]
+    cases += [_loop_permutation_case(rng) for _ in range(60)]
+    for g, m in cases:
+        _assert_paths_agree(g, m, rng)
+
+
+def test_dimension_zero_module_on_both_paths():
+    rng = random.Random(0)
+    g = theta_graph([(2, 2), (2, 2), (2, 3)])
+    m = FpModule(7, 0, {"a_v1": []})
+    rep = cohomology_abstract(g, spanning_tree(g), m)
+    assert (rep.h0, rep.h1, rep.h2, rep.vertex_h0, rep.edge_h0) == (0, 0, 0, (0, 0), (0, 0, 0))
+    _assert_paths_agree(g, m, rng)
+
+
+def test_permutation_module_breaking_a_relator():
+    # a_v1 a 3-cycle: t a^4 t^-1 = a^2 fails, since a^4 = a
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    m = FpModule(5, 3, {"a_v1": cycle})
+    assert m.perms is not None
+    copy = _on_the_matrix_path(m, random.Random(1))
+    messages = []
+    for module in (m, copy):
+        with pytest.raises(ModuleError, match="relator not satisfied") as err:
+            cohomology_abstract(bs_graph(2, 4), set(), module)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_isocratic_witness_bs610():
@@ -402,6 +598,16 @@ def test_assembly_matches_reference_on_random_graphs(seed):
 
 def test_assembly_matches_reference_on_witnesses():
     for g, m in witness_cases(16):
+        _assert_matches_reference(g, spanning_tree(g), m)
+
+
+def test_assembly_matches_reference_on_permutation_loops():
+    # stable letters that permute the cycles of a_v1: the permutation path
+    # numbers cycles and places T_e's terms as the matrix path does
+    rng = random.Random(5)
+    for _ in range(60):
+        g, m = _loop_permutation_case(rng)
+        assert m.perms is not None
         _assert_matches_reference(g, spanning_tree(g), m)
 
 

@@ -287,6 +287,17 @@ def test_prediction_check_bs610():
     assert all(o % 3 and o % 5 for o in spectrum.orders["a"])
 
 
+def test_prediction_realized_powers_divide_an_order():
+    # 5 and 25 divide an order and 125 divides none; an order of 1 or 2
+    # would count every power if the test were a remainder of 1 or a
+    # quotient of 0
+    from gbsep import OrderSpectrum
+
+    spectrum = OrderSpectrum("permutation", {"a": frozenset({1, 2, 10, 25})}, {"degree": 25}, True)
+    rep = check_topology_prediction(bs_graph(2, 3), spectrum, isocracy_locus(2, 3), 125)
+    assert rep["realized"] == {5: [5, 25]}
+
+
 def test_prediction_requires_exhaustive():
     from gbsep import OrderSpectrum
 
