@@ -34,15 +34,16 @@ def p_free_part(x: int, p: int) -> int:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all thirteen bases (Sorenson and
+# Webster 2015, arXiv:1509.00864): is_prime is proven exact below it
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the prime bases 2 ... 41.
 
-    Exact for n below psi_13 = 3,317,044,064,679,887,385,961,981, the
-    least strong pseudoprime to all thirteen bases (Sorenson and Webster
-    2015, arXiv:1509.00864).  Above that bound a True means only
-    "probable prime".
+    Exact for n below PSI_13; at or above it a True means only
+    "probable prime" (PSI_13 itself passes and is composite).
     """
     if n < 2:
         return False

@@ -31,7 +31,7 @@ from itertools import accumulate
 from math import gcd
 
 from . import linalg
-from .arith import PrimeSet, is_isocratic, is_prime, isocracy_locus, nu_p
+from .arith import PSI_13, PrimeSet, is_isocratic, is_prime, isocracy_locus, nu_p
 from .graphs import (
     Edge,
     GbsGraph,
@@ -118,7 +118,13 @@ class FpModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FpModule":
-        return cls(doc["prime"], doc["dim"], dict(doc.get("actions", {})))
+        """A module given from outside; its prime must lie below PSI_13,
+        where is_prime is proven.  Modules gbsep builds take their primes
+        from factorize, which trusts is_prime at any size."""
+        prime = doc["prime"]
+        if isinstance(prime, int) and prime >= PSI_13:
+            raise ModuleError(f"prime {prime} is not below psi_13 = {PSI_13}, the bound of proven primality")
+        return cls(prime, doc["dim"], dict(doc.get("actions", {})))
 
 
 def _cycles(img: list[int]) -> list[list[int]]:

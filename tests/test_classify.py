@@ -187,6 +187,17 @@ def test_coprime_cycle_with_every_small_prime():
     assert self_audit(v)
 
 
+def test_isocratic_cycle_with_a_prime_above_psi_13():
+    # d = 2^89 - 1 is a Mersenne prime above is_prime's proven bound; the
+    # witness module over F_d is built and audited as for small primes
+    P = 2**89 - 1
+    v = classify_bs(2, 2 * P)
+    assert v.case == "IsocraticNotCoprime" and not v.separable
+    module = next(c for c in v.certificates if c.kind == "module")
+    assert module.module.prime == P
+    assert self_audit(v)
+
+
 def test_general_branch_prime_above_1000():
     # two loops whose indices cover every prime below 1000
     p = math.prod(primes_up_to(1000))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import gbsep.oracle
-from gbsep.arith import primes_up_to
+from gbsep.arith import PSI_13, primes_up_to
 from gbsep.cli import main
 from gbsep.oracle import MAX_N_CAP
 
@@ -149,9 +149,9 @@ def test_oracle_bound_below_one_is_input_error(capsys, bound):
 def test_oracle_ncap_above_bound_is_input_error(capsys, monkeypatch, cap):
     # refused before the sieve up to the cap is built
     def sieve(n):
-        raise AssertionError("primes_up_to ran")
+        raise AssertionError("the sieve ran")
 
-    monkeypatch.setattr(gbsep.oracle, "primes_up_to", sieve)
+    monkeypatch.setattr(gbsep.oracle, "_carmichael_up_to", sieve)
     code, out, err = run(capsys, "oracle", "--bs", "2", "3", "--ncap", cap, "--json")
     assert code == 1 and out == ""
     assert f"above {MAX_N_CAP}" in err
@@ -243,6 +243,22 @@ def test_cohomology_module_prime_not_an_integer(tmp_path, capsys, prime):
     module.write_text(json.dumps({"prime": prime, "dim": 1, "actions": {}}))
     code, out, err = run(capsys, "cohomology", "--bs", "2", "3", "--module", str(module))
     assert code == 1 and out == "" and "is not an integer" in err
+
+
+def test_cohomology_module_prime_at_psi_13_is_input_error(tmp_path, capsys):
+    # psi_13 passes is_prime but is 1287836182261 * 2575672364521
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps({"prime": PSI_13, "dim": 1, "actions": {}}))
+    code, out, err = run(capsys, "cohomology", "--bs", "2", "3", "--module", str(module))
+    assert code == 1 and out == "" and f"not below psi_13 = {PSI_13}" in err
+
+
+def test_classify_isocratic_cycle_with_a_prime_above_psi_13(capsys):
+    # no module is given: the built witness over F_(2^89 - 1) is not refused
+    code, out, _ = run(capsys, "classify", "--bs", "2", str(2 * (2**89 - 1)), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["case"] == "IsocraticNotCoprime" and doc["self_audit"] is True
 
 
 def test_json_deterministic(capsys):

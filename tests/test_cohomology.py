@@ -26,7 +26,7 @@ from gbsep import (
     subdivide_loops,
     validate_module,
 )
-from gbsep.arith import PrimeSet, primes_up_to
+from gbsep.arith import PSI_13, PrimeSet, is_prime, primes_up_to
 from gbsep.cohomology import assemble_maps, coinvariants, norm_element
 from gbsep.graphs import Edge, GbsGraph, canonical_presentation, stable_letter, vertex_gen
 from gbsep.quotients import QuotientError, construct_cycle_quotient
@@ -129,6 +129,22 @@ def test_module_validation():
             FpModule(prime, 1, {})
     with pytest.raises(ModuleError, match="prime 5.9 is not an integer"):
         FpModule.from_json({"prime": 5.9, "dim": 1, "actions": {}})
+
+
+def test_module_json_refuses_primes_from_psi_13():
+    # is_prime is proven only below psi_13, which itself passes it and is
+    # 1287836182261 * 2575672364521
+    assert is_prime(PSI_13) and PSI_13 == 1287836182261 * 2575672364521
+    for prime in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ModuleError, match="not below psi_13"):
+            FpModule.from_json({"prime": prime, "dim": 1, "actions": {}})
+    # refused before any arithmetic mod the composite
+    with pytest.raises(ModuleError, match="not below psi_13"):
+        FpModule.from_json({"prime": PSI_13, "dim": 1, "actions": {"a_v1": [[1287836182261]]}})
+    below = PSI_13 - 168  # the largest prime below it
+    assert FpModule.from_json({"prime": below, "dim": 1, "actions": {}}).prime == below
+    # modules gbsep builds take primes from factorize, which trusts is_prime
+    assert FpModule(2**89 - 1, 1, {}).prime == 2**89 - 1
 
 
 def test_module_json_roundtrip():

@@ -22,7 +22,7 @@ from gbsep import (
     spanning_tree,
 )
 from gbsep.arith import factorize
-from gbsep.oracle import _class_representative, _partitions, _perm_order, _solving_units
+from gbsep.oracle import MAX_N_CAP, _class_representative, _partitions, _perm_order
 
 
 def loop_presentation(n, m):
@@ -144,6 +144,17 @@ def test_perm_matches_reference_at_degree_6():
     assert spectrum.orders["a_v1"] == {1, 2, 5}
 
 
+@pytest.mark.parametrize(
+    "pres",
+    # loops use t^1 and t^-1 only; an edge with |lambda_1| >= 2 powers the
+    # second generator by a general exponent
+    [loop_presentation(9, 10), loop_presentation(12, 12), loop_presentation(-11, 12), edge_presentation(6, -4)],
+    ids=["loop-9-10", "loop-12-12", "loop--11-12", "edge-6--4"],
+)
+def test_perm_matches_reference_at_degree_6_on_benchmark_labels(pres):
+    assert enumerate_perm_quotients(pres, 6) == reference_perm_spectrum(pres, 6)
+
+
 @pytest.mark.parametrize("n", [x for x in range(-12, 13) if x])
 def test_metacyclic_matches_reference_on_grid(n):
     for m in [x for x in range(-12, 13) if x]:
@@ -153,20 +164,38 @@ def test_metacyclic_matches_reference_on_grid(n):
             assert enumerate_metacyclic_quotients(n, m, cap) == expect, (m, cap)
 
 
-@pytest.mark.parametrize("n, m", [(2, 3), (4, -6), (-5, 7), (6, 10), (1, 1), (-9, -9)])
-def test_solving_units_match_solutions(n, m):
-    for N in range(1, 61):
-        units = [u for u in range(1, N + 1) if math.gcd(u, N) == 1]
-        grouped = {(o, u % N) for o, solving in _solving_units(n, m, N, units).items() for u in solving}
-        assert grouped == {(N // math.gcd(x, N), u) for _, x, u in metacyclic_solutions(n, m, N)}, N
-
-
 def _carmichael(N):
     """The exponent of (Z/N)^x: every divisor of it is a unit order mod N."""
     out = 1
     for p, k in factorize(N).items():
         out = math.lcm(out, 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1))
     return out
+
+
+def _divisors(e):
+    return {r for r in range(1, e + 1) if e % r == 0}
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (4, -6), (-5, 7), (6, 10), (1, 1), (-9, -9)])
+def test_closed_forms_match_solutions(n, m):
+    # the two facts enumerate_metacyclic_quotients rests on, modulus by modulus
+    for N in range(1, 61):
+        solutions = metacyclic_solutions(n, m, N)
+        hit = {N // math.gcd(x, N) for _, x, _ in solutions}
+        assert hit == {o for o in _divisors(N) if math.gcd(n, o) == math.gcd(m, o)}, N
+        units = [u % N for u in range(1, N + 1) if math.gcd(u, N) == 1]
+        assert {_stepped_unit_order(u, N) for _, _, u in solutions} == _divisors(_carmichael(N)), N
+        assert {_stepped_unit_order(u, N) for u in units} == _divisors(_carmichael(N)), N
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (-4, 6), (12, 12)])
+def test_metacyclic_max_cap_under_a_second(n, m):
+    start = time.perf_counter()
+    spectrum = enumerate_metacyclic_quotients(n, m, MAX_N_CAP)
+    assert time.perf_counter() - start < 1.0
+    assert spectrum.orders["a"] == {o for o in range(1, MAX_N_CAP + 1) if math.gcd(n, o) == math.gcd(m, o)}
+    exponents = {_carmichael(N) for N in range(1, MAX_N_CAP + 1)}
+    assert spectrum.orders["t"] == set().union(*map(_divisors, exponents))
 
 
 def test_perm_degree_7_under_a_second():
@@ -184,6 +213,11 @@ def test_metacyclic_cap_400_under_a_second():
     assert spectrum.orders["a"] == {o for o in range(1, 401) if math.gcd(o, 6) == 1}
     exponents = {_carmichael(N) for N in range(1, 401)}
     assert spectrum.orders["t"] == {r for e in exponents for r in range(1, e + 1) if e % r == 0}
+
+
+def test_metacyclic_cap_1_is_the_trivial_quotient():
+    # C_1 and its one unit: both images have order 1
+    assert enumerate_metacyclic_quotients(-4, 6, 1).orders == {"a": {1}, "t": {1}}
 
 
 @pytest.mark.parametrize("d", [0, -1])
